@@ -1,36 +1,44 @@
-//! Perf-trajectory reporter: re-measures the two hot-loop benchmarks and
-//! records the results as machine-readable `BENCH_*.json` files at the repo
-//! root, next to the pre-refactor baselines they are compared against.
+//! Perf-trajectory reporter: re-measures the simulator's host-time hot
+//! spots and records the results as machine-readable `BENCH_*.json` files at
+//! the repo root, next to the baselines they are compared against.  It is
+//! the one harness that writes every BENCH file.
 //!
-//! Unlike the criterion benches (which estimate distributions), this binary
-//! takes the *minimum and median of N whole runs* — the measurement that
+//! It takes the *minimum and median of N whole runs* — the measurement that
 //! proved trustworthy against scheduler noise during the hot-loop overhaul —
-//! and derives ops/sec from the median.  The baselines hardcoded below are
-//! the criterion medians measured on this machine immediately before the
-//! data-oriented refactor (stat interning, event pooling, incremental XY
-//! routing), so the `speedup_vs_baseline` fields are an honest trajectory of
-//! the same quantity across the change.
+//! and derives ops/sec from the median.  Each entry's baseline is the median
+//! measured on this machine when the entry was introduced (for the hot-loop
+//! entries, immediately before the data-oriented refactor: stat interning,
+//! event pooling, incremental XY routing), so the `speedup_vs_baseline`
+//! fields are an honest trajectory of the same quantity across changes.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_report              # 15 samples
 //! cargo run --release -p bench --bin bench_report -- --samples 5
+//! cargo run --release -p bench --bin bench_report -- --only values
 //! cargo run --release -p bench --bin bench_report -- --check   # CI gate
 //! ```
 //!
-//! `--check` compares the fresh measurement against the checked-in JSON and
-//! exits non-zero when any entry's ops/sec regressed by more than 20%;
-//! setting `BENCH_ALLOW_REGRESSION=1` (or passing `--allow-regression`)
-//! downgrades the failure to a warning for intentional trade-offs.
+//! `--only step|noc|trace|parallel|protocol|values|campaign` restricts the
+//! run to one group (one BENCH file).  `--check` compares the fresh
+//! measurement against the checked-in JSON and exits non-zero when any
+//! entry's ops/sec regressed by more than 20%; setting
+//! `BENCH_ALLOW_REGRESSION=1` (or passing `--allow-regression`) downgrades
+//! the failure to a warning for intentional trade-offs.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bench::{bench_config, BENCH_SCALE};
+use campaign::{Executor, ResultCache, SweepSpec};
+use mem::{Addr, AddressRange, MemorySystem, MemorySystemConfig};
 use noc::{run_synthetic, MessageClass, Noc, NocConfig, NocModel, SyntheticTraffic};
-use simkernel::{Cycle, NodeId, TraceSettings};
+use simkernel::{ByteSize, CoreId, Cycle, NodeId, TraceSettings};
+use spm::{Scratchpad, SpmConfig};
+use spm_coherence::{CoherenceBackend, ProtocolConfig, SpmCoherenceProtocol};
+use system::sweep::{run_points, RunContext};
 use system::{ExecutionEngine, Machine, MachineKind, SystemConfig};
 use workloads::nas::NasBenchmark;
 
@@ -45,7 +53,8 @@ struct Entry {
     unit: &'static str,
     min_ns: u128,
     median_ns: u128,
-    /// Pre-refactor criterion median on this machine, nanoseconds.
+    /// Median recorded on this machine when the entry was introduced,
+    /// nanoseconds.
     baseline_median_ns: u64,
 }
 
@@ -66,17 +75,36 @@ impl Entry {
     }
 }
 
-/// Times `run` `samples` times and returns (min, median) nanoseconds.
-fn sample<R>(samples: usize, mut run: impl FnMut() -> R) -> (u128, u128) {
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(run());
-            t.elapsed().as_nanos()
-        })
-        .collect();
+/// Wall time of one call of `run`, in nanoseconds.
+fn time_once<R>(run: &mut impl FnMut() -> R) -> u128 {
+    let t = Instant::now();
+    std::hint::black_box(run());
+    t.elapsed().as_nanos()
+}
+
+/// (min, median) of a set of timings.
+fn min_median(mut times: Vec<u128>) -> (u128, u128) {
     times.sort_unstable();
     (times[0], times[times.len() / 2])
+}
+
+/// Times `run` `samples` times and returns (min, median) nanoseconds.
+fn sample<R>(samples: usize, mut run: impl FnMut() -> R) -> (u128, u128) {
+    min_median((0..samples).map(|_| time_once(&mut run)).collect())
+}
+
+/// Times `a` and `b` alternately, one run of each per round, so a burst of
+/// host noise lands on both and their ratio stays meaningful even when the
+/// absolute medians drift; returns each one's (min, median) nanoseconds.
+fn sample_ab<A, B>(
+    samples: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> ((u128, u128), (u128, u128)) {
+    let (a_ns, b_ns) = (0..samples)
+        .map(|_| (time_once(&mut a), time_once(&mut b)))
+        .unzip();
+    (min_median(a_ns), min_median(b_ns))
 }
 
 fn measure_step_throughput(samples: usize) -> Vec<Entry> {
@@ -155,24 +183,12 @@ fn measure_parallel_engine(samples: usize, quick: bool) -> Vec<Entry> {
         let ops = Machine::new(MachineKind::HybridProposed, inter.clone())
             .run(&spec)
             .instructions;
-        let mut inter_ns: Vec<u128> = Vec::with_capacity(samples);
-        let mut par_ns: Vec<u128> = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            for (config, times) in [(&inter, &mut inter_ns), (&par, &mut par_ns)] {
-                let t = Instant::now();
-                std::hint::black_box(
-                    Machine::new(MachineKind::HybridProposed, config.clone()).run(&spec),
-                );
-                times.push(t.elapsed().as_nanos());
-            }
-        }
-        inter_ns.sort_unstable();
-        par_ns.sort_unstable();
-        let mid = samples / 2;
-        (
-            (ops, inter_ns[0], inter_ns[mid]),
-            (ops, par_ns[0], par_ns[mid]),
-        )
+        let run = |config: &SystemConfig| {
+            Machine::new(MachineKind::HybridProposed, config.clone()).run(&spec)
+        };
+        let ((inter_min, inter_median), (par_min, par_median)) =
+            sample_ab(samples, || run(&inter), || run(&par));
+        ((ops, inter_min, inter_median), (ops, par_min, par_median))
     };
     let mut entries = Vec::new();
     let mut push = |name, (ops, min_ns, median_ns), baseline_median_ns| {
@@ -329,6 +345,197 @@ fn measure_noc_des(samples: usize) -> Vec<Entry> {
     ]
 }
 
+/// Calls per sample of the protocol-structure entries.  One call takes tens
+/// of nanoseconds, too close to the timer's own cost to time alone.
+const PROTOCOL_BATCH: u64 = 10_000;
+
+/// The protocol's hardware-structure models in isolation, on the 16-core
+/// test configuration: a guarded access served on the filter-hit fast path,
+/// one served by the local SPMDir, and the filter-invalidation round a DMA
+/// mapping triggers.  Baselines are the per-call medians of the criterion
+/// bench these entries replace, measured just before its removal, times
+/// [`PROTOCOL_BATCH`]; that harness timed every call alone, so its figure
+/// includes one timer read per call.
+fn measure_protocol_structures(samples: usize) -> Vec<Entry> {
+    let cores = 16;
+    let fresh = || {
+        let memsys = MemorySystem::new(MemorySystemConfig::small(cores));
+        let spms: Vec<Scratchpad> = (0..cores)
+            .map(|_| Scratchpad::new(SpmConfig::small()))
+            .collect();
+        let mut protocol = SpmCoherenceProtocol::new(ProtocolConfig::small(cores));
+        protocol.configure_buffer_size(ByteSize::kib(4));
+        (memsys, spms, protocol)
+    };
+    let core = CoreId::new(0);
+
+    let (mut memsys, mut spms, mut protocol) = fresh();
+    let addr = Addr::new(0x40_0000);
+    // Warm the filter.
+    let _ = protocol.guarded_access(core, addr, false, &mut memsys, &mut spms);
+    let filter_hit = sample(samples, || {
+        for _ in 0..PROTOCOL_BATCH {
+            std::hint::black_box(protocol.guarded_access(
+                core,
+                addr,
+                false,
+                &mut memsys,
+                &mut spms,
+            ));
+        }
+    });
+
+    let (mut memsys, mut spms, mut protocol) = fresh();
+    let chunk = AddressRange::new(Addr::new(0x80_0000), 4096);
+    protocol.on_map(core, 0, chunk, &mut memsys);
+    let spmdir_hit = sample(samples, || {
+        for _ in 0..PROTOCOL_BATCH {
+            std::hint::black_box(protocol.guarded_access(
+                core,
+                Addr::new(0x80_0040),
+                false,
+                &mut memsys,
+                &mut spms,
+            ));
+        }
+    });
+
+    let (mut memsys, _, mut protocol) = fresh();
+    let mut chunk_index = 0u64;
+    let invalidation = sample(samples, || {
+        for _ in 0..PROTOCOL_BATCH {
+            chunk_index += 1;
+            let chunk = AddressRange::new(Addr::new(0x100_0000 + chunk_index * 4096), 4096);
+            let mapper = CoreId::new((chunk_index % cores as u64) as usize);
+            std::hint::black_box(protocol.on_map(mapper, 0, chunk, &mut memsys));
+        }
+    });
+
+    [
+        (
+            "guarded_access/filter_hit_fast_path",
+            "accesses",
+            filter_hit,
+            BASELINE_FILTER_HIT_NS,
+        ),
+        (
+            "guarded_access/local_spmdir_hit",
+            "accesses",
+            spmdir_hit,
+            BASELINE_SPMDIR_HIT_NS,
+        ),
+        (
+            "dma_mapping/filter_invalidation_round",
+            "mappings",
+            invalidation,
+            BASELINE_INVALIDATION_NS,
+        ),
+    ]
+    .into_iter()
+    .map(|(name, unit, (min_ns, median_ns), per_call_ns)| Entry {
+        name,
+        ops: PROTOCOL_BATCH,
+        unit,
+        min_ns,
+        median_ns,
+        baseline_median_ns: per_call_ns * PROTOCOL_BATCH,
+    })
+    .collect()
+}
+
+/// Per-call medians of the removed `protocol_structures` criterion bench
+/// (median over seven runs of that bench).
+const BASELINE_FILTER_HIT_NS: u64 = 113;
+const BASELINE_SPMDIR_HIT_NS: u64 = 72;
+const BASELINE_INVALIDATION_NS: u64 = 78;
+
+/// The cost of threading real data values through the memory system
+/// (`SystemConfig.track_values`) on the machine-step workload.  Timing
+/// results are bit-identical either way — value tracking is a pure observer
+/// — so the `tracked` / `timing-only` median ratio is what keeps it off by
+/// default (the README's "Verification" section cites it); the two modes are
+/// sampled alternately to keep that ratio meaningful.  Baselines are the
+/// medians of the criterion bench these entries replace, measured just
+/// before its removal (median over seven runs of that bench).
+fn measure_value_tracking(samples: usize) -> Vec<Entry> {
+    let benchmark = NasBenchmark::Cg;
+    let spec = benchmark.spec_scaled(benchmark.recommended_scale() * BENCH_SCALE);
+    let timing_only = bench_config();
+    let tracked = SystemConfig {
+        track_values: true,
+        ..bench_config()
+    };
+    let run = |config: &SystemConfig| {
+        Machine::new(MachineKind::HybridProposed, config.clone()).run(&spec)
+    };
+    // Tracking values never changes timing, so one ops count serves both.
+    let ops = run(&timing_only).instructions;
+    let (off, on) = sample_ab(samples, || run(&timing_only), || run(&tracked));
+    [
+        ("cg/timing-only", off, 23_229_946),
+        ("cg/tracked", on, 73_911_109),
+    ]
+    .into_iter()
+    .map(|(name, (min_ns, median_ns), baseline_median_ns)| Entry {
+        name,
+        ops,
+        unit: "instructions",
+        min_ns,
+        median_ns,
+        baseline_median_ns,
+    })
+    .collect()
+}
+
+/// Campaign throughput on a six-point sweep (CG + IS on all three machine
+/// kinds, 4-core test machine): serial and four-worker execution, plus the
+/// four-worker pass served entirely from the result cache (nothing
+/// simulated).  On a host with fewer hardware threads than workers `jobs_4`
+/// cannot beat `jobs_1` by much; `host_threads` in the file says which.
+/// Baselines are the medians of the criterion bench these entries replace,
+/// measured just before its removal (median over seven runs of that bench).
+fn measure_campaign(samples: usize) -> Vec<Entry> {
+    let points = SweepSpec::new(&["CG", "IS"])
+        .with_cores(&[4])
+        .with_scales(&[1.0 / 256.0])
+        .small()
+        .points();
+    let ops = points.len() as u64;
+    let time =
+        |ctx: &RunContext| sample(samples, || run_points(ctx, &points).expect("valid sweep"));
+    let serial = time(&RunContext::new(Executor::new(1), None));
+    let parallel = time(&RunContext::new(Executor::new(4), None));
+
+    let cache_dir =
+        std::env::temp_dir().join(format!("bench-report-campaign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let cached = RunContext::new(Executor::new(4), Some(ResultCache::new(&cache_dir)));
+    let warmup = run_points(&cached, &points).expect("valid sweep");
+    assert_eq!(warmup.executed, points.len());
+    let cache_hits = sample(samples, || {
+        let report = run_points(&cached, &points).expect("valid sweep");
+        assert_eq!(report.executed, 0);
+        report
+    });
+    let _ = std::fs::remove_dir_all(&cache_dir);
+
+    [
+        ("jobs_1", serial, 6_385_927),
+        ("jobs_4", parallel, 7_241_067),
+        ("jobs_4_all_cache_hits", cache_hits, 553_941),
+    ]
+    .into_iter()
+    .map(|(name, (min_ns, median_ns), baseline_median_ns)| Entry {
+        name,
+        ops,
+        unit: "points",
+        min_ns,
+        median_ns,
+        baseline_median_ns,
+    })
+    .collect()
+}
+
 fn git_rev(root: &Path) -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
@@ -349,6 +556,8 @@ fn render(bench: &str, rev: &str, config: &str, samples: usize, entries: &[Entry
     writeln!(out, "  \"git_rev\": \"{rev}\",").unwrap();
     writeln!(out, "  \"config\": \"{config}\",").unwrap();
     writeln!(out, "  \"samples\": {samples},").unwrap();
+    let host_threads = std::thread::available_parallelism().map_or(1, usize::from);
+    writeln!(out, "  \"host_threads\": {host_threads},").unwrap();
     writeln!(out, "  \"entries\": [").unwrap();
     for (i, e) in entries.iter().enumerate() {
         let sep = if i + 1 < entries.len() { "," } else { "" };
@@ -445,9 +654,8 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|s| s.parse().ok())
         .unwrap_or(15);
-    // `--only step|noc|trace|parallel` restricts the run to one report —
-    // what CI uses to gate the 256-core parallel point without re-running
-    // the whole suite.
+    // `--only <group>` restricts the run to one report — what CI uses to
+    // gate the 256-core parallel point without re-running the whole suite.
     let only: Option<&str> = args
         .iter()
         .position(|a| a == "--only")
@@ -523,6 +731,52 @@ fn main() {
                 &par,
             ),
             par,
+        ));
+    }
+
+    if wants("protocol") {
+        eprintln!("measuring protocol_structures ({samples} samples per structure)...");
+        let protocol = measure_protocol_structures(samples);
+        reports.push((
+            "BENCH_protocol_structures.json",
+            render(
+                "protocol_structures",
+                &rev,
+                "16-core test configuration (ProtocolConfig::small), 10000 calls per sample",
+                samples,
+                &protocol,
+            ),
+            protocol,
+        ));
+    }
+    if wants("values") {
+        eprintln!("measuring value_tracking_overhead ({samples} samples per mode)...");
+        let values = measure_value_tracking(samples);
+        reports.push((
+            "BENCH_value_tracking.json",
+            render(
+                "value_tracking_overhead",
+                &rev,
+                "16 cores, NAS CG at 0.125x bench scale, HybridProposed",
+                samples,
+                &values,
+            ),
+            values,
+        ));
+    }
+    if wants("campaign") {
+        eprintln!("measuring campaign_throughput ({samples} samples per mode)...");
+        let campaign = measure_campaign(samples);
+        reports.push((
+            "BENCH_campaign_throughput.json",
+            render(
+                "campaign_throughput",
+                &rev,
+                "CG+IS x 3 machines, 4-core test machine at 1/256 scale, jobs 1 vs 4",
+                samples,
+                &campaign,
+            ),
+            campaign,
         ));
     }
 

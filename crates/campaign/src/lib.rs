@@ -24,7 +24,7 @@
 //!
 //! The crate sits *below* the `system` crate on purpose: descriptors are
 //! lowered to concrete machine configurations by `system::sweep`, which
-//! lets the experiment suite and the report binaries submit their runs
+//! lets the experiment suite and the `report` binary submit their runs
 //! through the same executor and cache (`--jobs`, `--cache-dir`).
 //!
 //! # Example

@@ -7,8 +7,6 @@
 //! `SystemConfig` + benchmark spec + machine kind, which keeps this crate
 //! free of any dependency on the simulator layers above it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::{f64_field, CacheKey};
 
 /// Canonical machine-kind identifiers, in the paper's comparison order.
@@ -39,7 +37,7 @@ pub const PROTOCOL_IDS: [&str; 2] = ["filterdir", "directory"];
 
 /// One point of a campaign: everything needed to reproduce one simulation
 /// run, as plain data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunDescriptor {
     /// Benchmark name (`"CG"`, `"IS"`, …).
     pub benchmark: String,
@@ -171,7 +169,7 @@ impl RunDescriptor {
 /// assert_eq!(spec.len(), 2 * 2 * 2);
 /// assert_eq!(spec.points()[0].label(), "CG/cache-only/8c");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Benchmarks to sweep.
     pub benchmarks: Vec<String>,
@@ -277,10 +275,26 @@ impl SweepSpec {
         self
     }
 
-    /// Number of points the cross-product enumerates.
+    /// The protocol axis as seen by one machine: only `hybrid-proposed`
+    /// has a coherence backend to swap, so every other machine runs once,
+    /// with no protocol override.
+    fn protocols_for(&self, machine: &str) -> &[Option<String>] {
+        if machine == "hybrid-proposed" {
+            &self.protocols
+        } else {
+            &[None]
+        }
+    }
+
+    /// Number of points [`SweepSpec::points`] enumerates.
     pub fn len(&self) -> usize {
+        let machine_points: usize = self
+            .machines
+            .iter()
+            .map(|m| self.protocols_for(m).len())
+            .sum();
         self.benchmarks.len()
-            * self.machines.len()
+            * machine_points
             * self.core_counts.len()
             * self.scale_multipliers.len()
             * self.spm_kib.len()
@@ -288,7 +302,6 @@ impl SweepSpec {
             * self.filterdir_entries.len()
             * self.noc_models.len()
             * self.engines.len()
-            * self.protocols.len()
     }
 
     /// Returns `true` when the cross-product is empty.
@@ -297,7 +310,8 @@ impl SweepSpec {
     }
 
     /// Enumerates the cross-product, in a deterministic nested order
-    /// (benchmark-major, protocol-minor).
+    /// (benchmark-major, protocol-minor).  The protocol axis applies to
+    /// `hybrid-proposed` only (see [`PROTOCOL_IDS`]).
     pub fn points(&self) -> Vec<RunDescriptor> {
         let mut points = Vec::with_capacity(self.len());
         for benchmark in &self.benchmarks {
@@ -309,7 +323,7 @@ impl SweepSpec {
                                 for &filterdir in &self.filterdir_entries {
                                     for noc_model in &self.noc_models {
                                         for engine in &self.engines {
-                                            for protocol in &self.protocols {
+                                            for protocol in self.protocols_for(machine) {
                                                 points.push(RunDescriptor {
                                                     benchmark: benchmark.clone(),
                                                     machine: machine.clone(),
@@ -470,6 +484,23 @@ mod tests {
         let points = spec.points();
         assert_eq!(points[0].protocol.as_deref(), Some("filterdir"));
         assert_eq!(points[1].protocol.as_deref(), Some("directory"));
+    }
+
+    #[test]
+    fn protocol_axis_only_multiplies_the_proposed_machine() {
+        let spec = SweepSpec::new(&["CG", "IS"])
+            .with_cores(&[8])
+            .with_protocols(&PROTOCOL_IDS);
+        let points = spec.points();
+        assert_eq!(spec.len(), points.len());
+        // cache-only + hybrid-ideal once each, hybrid-proposed per protocol.
+        assert_eq!(points.len(), 2 * 4);
+        let mut seen = std::collections::BTreeSet::new();
+        for p in &points {
+            assert!(seen.insert(p.fields()), "duplicate point {}", p.label());
+            let proposed = p.machine == "hybrid-proposed";
+            assert_eq!(p.protocol.is_some(), proposed, "{}", p.label());
+        }
     }
 
     #[test]

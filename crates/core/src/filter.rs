@@ -8,8 +8,6 @@
 //! Figure 6b.  Entries are replaced pseudo-LRU; an eviction must be notified
 //! to the filterDir so the sharers list stays accurate.
 
-use serde::{Deserialize, Serialize};
-
 use mem::Addr;
 
 /// The per-core filter CAM (48 entries, fully associative, pseudoLRU in Table 1).
@@ -26,7 +24,7 @@ use mem::Addr;
 /// assert!(f.lookup(Addr::new(0x1000)));
 /// assert!(f.hit_ratio() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Filter {
     capacity: usize,
     /// `(base address, last-use tick)` pairs; LRU approximated by the tick.

@@ -17,13 +17,12 @@
 //!   an SPM, the matching filterDir entry (if any) is removed and every core
 //!   in its sharers list invalidates its filter entry.
 
-use serde::{Deserialize, Serialize};
 use simkernel::CoreId;
 
 use mem::Addr;
 
 /// One entry evicted from the filterDir; its sharers must invalidate their filters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvictedFilterEntry {
     /// The GM base address that is no longer tracked.
     pub base: Addr,
@@ -31,7 +30,7 @@ pub struct EvictedFilterEntry {
     pub sharers: Vec<CoreId>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Entry {
     base: Addr,
     sharers: u64,
@@ -63,7 +62,7 @@ impl Entry {
 /// let sharers = fd.invalidate(Addr::new(0x1000)).unwrap();
 /// assert_eq!(sharers, vec![CoreId::new(3)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterDir {
     slices: usize,
     entries_per_slice: usize,

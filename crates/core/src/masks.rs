@@ -7,7 +7,6 @@
 //! into a *base address* (used as the CAM search key) and an *address offset*
 //! (added to the SPM buffer base when an access is diverted).
 
-use serde::{Deserialize, Serialize};
 use simkernel::ByteSize;
 
 use mem::Addr;
@@ -29,7 +28,7 @@ use mem::Addr;
 /// assert_eq!(base, Addr::new(0x12_0000));
 /// assert_eq!(offset, 0x3456);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddressMasks {
     granularity: u64,
 }

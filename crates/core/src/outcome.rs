@@ -1,12 +1,11 @@
 //! The result of executing a guarded (potentially incoherent) access.
 
-use serde::{Deserialize, Serialize};
 use simkernel::{CoreId, Cycle};
 
 use mem::{Addr, ServedBy};
 
 /// Where a guarded access was ultimately served (Figure 5 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GuardedTarget {
     /// The data was not mapped to any SPM: the access was served by the
     /// normal cache hierarchy (cases *a* and *c*).
@@ -27,7 +26,7 @@ pub enum GuardedTarget {
 }
 
 /// Outcome of one guarded memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuardedOutcome {
     /// Latency of the access on the issuing core's critical path.
     pub latency: Cycle,

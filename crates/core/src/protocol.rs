@@ -1,7 +1,6 @@
 //! The coherence-protocol engine: guarded-access diversion (Figure 5) and
 //! SPM-content tracking (Figure 6).
 
-use serde::{Deserialize, Serialize};
 use simkernel::{ByteSize, CoreId, Cycle, StatRegistry};
 
 use mem::{AccessKind, Addr, AddressRange, CoreLane, MemorySystem};
@@ -288,7 +287,7 @@ impl ProtocolLane {
 /// The differential oracle harness only proves anything if a *broken*
 /// protocol demonstrably fails it; these knobs break the protocol in the
 /// targeted, paper-relevant ways.  They exist purely for the verification
-/// subsystem and are never enabled by a report binary.
+/// subsystem and are never enabled by the `report` binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolFault {
     /// `on_map` skips the filterDir invalidation round of Figure 6a: cores
@@ -307,7 +306,7 @@ pub enum ProtocolFault {
 }
 
 /// Sizing of the protocol's hardware structures (Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolConfig {
     /// Number of cores (one SPMDir + one filter each, one filterDir slice each).
     pub cores: usize,

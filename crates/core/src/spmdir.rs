@@ -7,8 +7,6 @@
 //! address (§3.1 of the paper): the SPM address of a diverted access is the
 //! buffer base plus the access offset.
 
-use serde::{Deserialize, Serialize};
-
 use mem::Addr;
 
 /// The per-core CAM tracking which GM chunks are mapped to the local SPM.
@@ -24,7 +22,7 @@ use mem::Addr;
 /// assert_eq!(dir.lookup(Addr::new(0x4_0000)), Some(0));
 /// assert_eq!(dir.lookup(Addr::new(0x8_0000)), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpmDir {
     entries: Vec<Option<Addr>>,
     /// Bitmask of occupied entries, valid only while `capacity ≤ 64`; lets

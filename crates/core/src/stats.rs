@@ -1,6 +1,5 @@
 //! Protocol-level statistics.
 
-use serde::{Deserialize, Serialize};
 use simkernel::StatRegistry;
 
 /// Counters describing the behaviour of the coherence protocol during a run.
@@ -8,7 +7,7 @@ use simkernel::StatRegistry;
 /// Per-structure counters (filter hits, SPMDir lookups, filterDir occupancy)
 /// live in the structures themselves; this struct aggregates the protocol
 /// events that span structures, which is what the paper reports in §5.3.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProtocolStats {
     /// Guarded loads executed.
     pub guarded_loads: u64,

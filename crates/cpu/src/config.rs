@@ -1,10 +1,9 @@
 //! Core timing-model configuration (Table 1).
 
-use serde::{Deserialize, Serialize};
 use simkernel::Cycle;
 
 /// Parameters of the out-of-order core timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Instructions issued (and retired) per cycle.
     pub issue_width: u64,

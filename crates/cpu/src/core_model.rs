@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use simkernel::attrib::{CycleAccount, CycleCategory};
 use simkernel::{Cycle, StatRegistry};
 
@@ -13,7 +12,7 @@ use crate::config::CoreConfig;
 use crate::lsq::LoadStoreQueue;
 
 /// Cycles spent in each execution phase (Figure 9's bar segments).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     cycles: [Cycle; 3],
 }

@@ -1,7 +1,5 @@
 //! Area accounting for the protocol structures (§5.3: "less than 4 %").
 
-use serde::{Deserialize, Serialize};
-
 /// Rough area model (in mm² at 22 nm) for one tile of the manycore and for
 /// the structures added by the proposed coherence protocol.
 ///
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let overhead = area.protocol_overhead_fraction();
 /// assert!(overhead > 0.0 && overhead < 0.04, "paper quotes < 4 %, got {overhead}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Area of one core (pipeline, register files, predictors), mm².
     pub core_mm2: f64,

@@ -3,10 +3,8 @@
 use std::fmt;
 use std::ops::{Add, Index};
 
-use serde::{Deserialize, Serialize};
-
 /// The component groups the paper reports energy for (Figure 11 legend).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Component {
     /// The cores (pipelines, register files, branch predictors).
     Cpus,
@@ -66,7 +64,7 @@ impl fmt::Display for Component {
 }
 
 /// Energy attributed to each [`Component`], in joules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     joules: [f64; 6],
 }

@@ -1,6 +1,5 @@
 //! Turning event counts into the Figure 11 energy breakdown.
 
-use serde::{Deserialize, Serialize};
 use simkernel::{Cycle, Frequency, StatRegistry};
 
 use crate::breakdown::{Component, EnergyBreakdown};
@@ -12,7 +11,7 @@ use crate::params::EnergyParams;
 /// hybrid system with ideal coherence has SPMs but no protocol hardware; the
 /// proposed system has both.  Leakage (and hence the static share of every
 /// overhead the paper reports) follows this.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineFeatures {
     /// SPMs and DMACs are present.
     pub has_spms: bool,
@@ -65,7 +64,7 @@ impl MachineFeatures {
 /// assert!(breakdown.total() > 0.0);
 /// assert!(breakdown.component(Component::Caches) > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModel {
     params: EnergyParams,
     frequency: Frequency,

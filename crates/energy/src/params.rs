@@ -1,7 +1,5 @@
 //! Per-event energies and leakage powers (22 nm ballpark figures).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-event dynamic energies (in picojoules) and per-component leakage
 /// powers (in milliwatts, whole chip) used by [`crate::EnergyModel`].
 ///
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// (an SPM access is much cheaper than a cache access because it skips the
 /// TLB and tag CAMs; a DRAM access is two orders of magnitude above an L1
 /// hit; small CAMs are cheap), which these defaults preserve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Energy per executed instruction in the core pipeline (pJ), including
     /// fetch/decode/rename/execute overheads.

@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Cache line size in bytes (Table 1 of the paper).
 pub const LINE_BYTES: u64 = 64;
 
@@ -25,9 +23,7 @@ pub const LINE_BYTES: u64 = 64;
 /// assert_eq!((a + 100).raw(), 0x1000_00a6);
 /// let _ = LINE_BYTES;
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -139,9 +135,7 @@ impl From<Addr> for u64 {
 /// assert_eq!(l.base(), Addr::new(0x80));
 /// assert_eq!(l.next().base(), Addr::new(0xc0));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(u64);
 
 impl LineAddr {
@@ -194,7 +188,7 @@ impl fmt::Display for LineAddr {
 /// assert!(!r.contains(Addr::new(0x1100)));
 /// assert_eq!(r.lines().count(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddressRange {
     start: Addr,
     len: u64,

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use simkernel::{ByteSize, Cycle};
 
 use crate::addr::{LineAddr, LINE_BYTES};
@@ -20,7 +19,7 @@ use crate::plru::TreePlru;
 /// assert_eq!(l1d.sets(), 128);
 /// assert_eq!(l1d.lines(), 512);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Human readable name used in statistics (`l1d`, `l2`, ...).
     pub name: String,
@@ -69,7 +68,7 @@ impl CacheConfig {
 }
 
 /// A line evicted by an insertion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedLine<S> {
     /// The address of the evicted line.
     pub line: LineAddr,

@@ -6,13 +6,12 @@
 //! benchmarks are mostly on-chip once the SPMs or caches are warm, so a
 //! first-order DRAM model is sufficient to preserve the reported trends.
 
-use serde::{Deserialize, Serialize};
 use simkernel::{Cycle, NodeId};
 
 use crate::addr::LineAddr;
 
 /// Configuration of the DRAM / memory-controller model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     /// Fixed access latency (row activation + column access + transfer).
     pub access_latency: Cycle,

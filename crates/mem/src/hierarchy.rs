@@ -9,7 +9,6 @@
 //! transaction would send, labelled with the message classes of the paper's
 //! Figure 10.
 
-use serde::{Deserialize, Serialize};
 use simkernel::{ByteSize, CoreId, Cycle, InternedStats, NodeId, StatHandle, StatRegistry};
 
 use noc::{MessageClass, Noc, NocConfig};
@@ -23,7 +22,7 @@ use crate::prefetcher::{PrefetcherConfig, StridePrefetcher};
 use crate::values::{word_index, LineValues, ValueStore, WORDS_PER_LINE};
 
 /// The kind of demand access performed by a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A data load.
     Load,
@@ -41,7 +40,7 @@ impl AccessKind {
 }
 
 /// Which level of the hierarchy ended up providing the data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServedBy {
     /// The core's own L1 cache.
     L1,
@@ -54,7 +53,7 @@ pub enum ServedBy {
 }
 
 /// The outcome of a demand access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemAccessResult {
     /// Total latency of the access, including all NoC legs.
     pub latency: Cycle,
@@ -65,7 +64,7 @@ pub struct MemAccessResult {
 }
 
 /// Configuration of the whole cache hierarchy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemorySystemConfig {
     /// Number of cores / tiles.
     pub cores: usize,
@@ -139,7 +138,7 @@ impl Default for MemorySystemConfig {
 /// The live counters are handle-indexed [`InternedStats`] bumped on the
 /// access hot paths; [`MemorySystem::counters`] materialises this struct
 /// from them on demand.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyCounters {
     /// L1 data cache accesses (loads + stores reaching the tag array).
     pub l1d_accesses: u64,

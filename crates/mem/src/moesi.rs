@@ -9,11 +9,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use simkernel::CoreId;
 
 /// The five MOESI states of a cached line (plus Invalid).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MoesiState {
     /// Dirty, exclusive: this cache owns the only valid copy.
     Modified,
@@ -65,7 +64,7 @@ impl fmt::Display for MoesiState {
 /// the set to a boxed multi-word bitmap on the first sharer past core 63;
 /// every ≤64-core configuration only ever touches the narrow form, so the
 /// wide path costs nothing where the goldens pin behaviour.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum SharerSet {
     /// One `u64`, bit per core — cores 0..64.
     Narrow(u64),
@@ -165,7 +164,7 @@ impl SharerSet {
 /// dir.add_sharer(CoreId::new(5), MoesiState::Shared);
 /// assert_eq!(dir.sharer_count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DirectoryEntry {
     sharers: SharerSet,
     owner: Option<CoreId>,

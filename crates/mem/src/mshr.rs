@@ -6,13 +6,12 @@
 //! the buffered L1 access of a guarded load while the filter/filterDir
 //! resolution is in flight (Figure 5c/5d).
 
-use serde::{Deserialize, Serialize};
 use simkernel::Cycle;
 
 use crate::addr::LineAddr;
 
 /// Outcome of registering a miss in the MSHR file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrOutcome {
     /// A new entry was allocated; the miss must be sent to the next level.
     Allocated,
@@ -22,7 +21,7 @@ pub enum MshrOutcome {
     Full,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct MshrEntry {
     ready_at: Cycle,
     merged_requests: u32,
@@ -43,7 +42,7 @@ struct MshrEntry {
 /// mshr.retire_ready(Cycle::new(100));
 /// assert_eq!(mshr.outstanding(), 0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
     /// Parallel arrays (`lines[i]` is the address of `slots[i]`): the file

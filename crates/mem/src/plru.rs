@@ -5,8 +5,6 @@
 //! classic tree-PLRU scheme is implemented here for any power-of-two number
 //! of ways.
 
-use serde::{Deserialize, Serialize};
-
 /// Tree pseudo-LRU state for one cache set.
 ///
 /// The tree is stored as a flat bit array: node `0` is the root, node `i` has
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// // After touching every way in order, way 0 is the pseudo-LRU victim.
 /// assert_eq!(plru.victim(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreePlru {
     ways: usize,
     bits: Vec<bool>,

@@ -7,12 +7,10 @@
 //! effects emerge naturally from this model because the prefetched lines are
 //! really inserted in the (finite, 4-way) L1 tag array of [`crate::hierarchy`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{Addr, LineAddr};
 
 /// Configuration of the stride prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetcherConfig {
     /// Whether the prefetcher is active.
     pub enabled: bool,
@@ -53,7 +51,7 @@ impl Default for PrefetcherConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct StreamEntry {
     last_addr: Addr,
     stride: i64,

@@ -12,7 +12,6 @@
 //! [`Noc`] is the facade the memory hierarchy and the coherence protocol
 //! talk to; [`NocConfig::model`] selects which backend it instantiates.
 
-use serde::{Deserialize, Serialize};
 use simkernel::{Cycle, NodeId, StatRegistry};
 
 use crate::backend::NocBackend;
@@ -33,7 +32,7 @@ use crate::traffic::TrafficAccountant;
 pub const MAX_UTILIZATION: f64 = 0.95;
 
 /// Which network model a [`Noc`] instantiates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum NocModel {
     /// Closed-form latency: hops × per-hop latency + serialization + a
     /// global utilisation-driven contention term.  Fast, memoryless, and
@@ -79,7 +78,7 @@ impl std::fmt::Display for NocModel {
 ///
 /// The defaults follow Table 1 of the paper: a mesh with 1-cycle links and
 /// 1-cycle routers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
     /// Mesh topology (8×8 for the 64-core configuration).
     pub topology: MeshTopology,

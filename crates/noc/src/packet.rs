@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Size in bytes of a control packet (request / ack / invalidate).
 pub const CONTROL_PACKET_BYTES: u64 = 8;
 
@@ -20,7 +18,7 @@ pub const DATA_PACKET_BYTES: u64 = 72;
 pub const FLIT_BYTES: u64 = 16;
 
 /// The six traffic groups of the paper's Figure 10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MessageClass {
     /// Instruction fetch requests and their data responses.
     Ifetch,
@@ -81,7 +79,7 @@ impl fmt::Display for MessageClass {
 
 /// Whether a packet carries a payload (cache-line data) or only control
 /// information.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// Request, acknowledgement, negative acknowledgement or invalidation.
     Control,
@@ -135,7 +133,7 @@ pub const NUM_VIRTUAL_CHANNELS: usize = 3;
 /// discrete-event backend gives each channel its own per-link FIFO so the
 /// classes cannot deadlock-couple; the analytic backend needs no channels
 /// because it never queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VirtualChannel {
     /// Requests, acknowledgements and invalidations (control packets).
     Request,

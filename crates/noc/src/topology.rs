@@ -1,6 +1,5 @@
 //! Mesh topology and dimension-ordered routing.
 
-use serde::{Deserialize, Serialize};
 use simkernel::NodeId;
 
 /// A 2D mesh of `cols × rows` tiles with XY (dimension-ordered) routing.
@@ -18,7 +17,7 @@ use simkernel::NodeId;
 /// assert_eq!(mesh.cols(), 8);
 /// assert_eq!(mesh.hops(NodeId::new(0), NodeId::new(63)), 14);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MeshTopology {
     cols: usize,
     rows: usize,

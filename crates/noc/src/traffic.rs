@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use simkernel::StatRegistry;
 
 use crate::packet::{MessageClass, PacketKind};
@@ -25,7 +24,7 @@ use crate::packet::{MessageClass, PacketKind};
 /// assert_eq!(t.total_packets(), 2);
 /// assert!(t.flit_hops(MessageClass::Read) > 0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficAccountant {
     packets: [u64; 6],
     flits: [u64; 6],

@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time (or a duration), measured in core clock cycles.
 ///
 /// `Cycle` is an additive newtype over `u64`: two cycles can be added and
@@ -28,9 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((end - start).as_u64(), 15);
 /// assert_eq!((start - end), Cycle::ZERO); // saturating
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
 impl Cycle {
@@ -174,7 +170,7 @@ impl From<Cycle> for u64 {
 /// let time = clk.cycles_to_seconds(Cycle::new(2_000_000_000));
 /// assert!((time - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frequency {
     hz: f64,
 }

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one core (and, equivalently, one tile) of the manycore.
 ///
 /// # Example
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.index(), 17);
 /// assert_eq!(c.to_string(), "core17");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct CoreId(usize);
 
 impl CoreId {
@@ -78,9 +74,7 @@ impl From<CoreId> for usize {
 ///
 /// assert_eq!(CoreId::new(5).node(), NodeId::new(5));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(usize);
 
 impl NodeId {

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A quantity of bytes with convenient KiB/MiB constructors.
 ///
 /// Configuration structures throughout the workspace (cache sizes, SPM
@@ -22,9 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((l2_slice / l1), 8);
 /// assert_eq!(ByteSize::mib(16), ByteSize::kib(16 * 1024));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 impl ByteSize {

@@ -15,8 +15,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically increasing event counter.
 ///
 /// # Example
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// hits.add(4);
 /// assert_eq!(hits.get(), 5);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter {
     value: u64,
 }
@@ -89,7 +87,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(lat.min(), Some(2.0));
 /// assert_eq!(lat.max(), Some(4.0));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStat {
     count: u64,
     sum: f64,
@@ -178,7 +176,7 @@ impl RunningStat {
 /// assert_eq!(h.count(), 2);
 /// assert!(h.percentile(0.5) <= 100);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -255,7 +253,7 @@ impl Histogram {
 }
 
 /// A value stored in a [`StatRegistry`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StatValue {
     /// An event count.
     Count(u64),
@@ -300,7 +298,7 @@ impl fmt::Display for StatValue {
 /// assert_eq!(stats.count("l1d.hits"), 90);
 /// assert_eq!(stats.sum_matching("l1d."), 100.1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatRegistry {
     entries: BTreeMap<String, StatValue>,
 }

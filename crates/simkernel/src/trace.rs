@@ -397,7 +397,7 @@ impl Drop for SampleBuilder<'_> {
 /// Pure presentation — no setting here may change a simulation's timing,
 /// traffic or statistics (pinned by the hot-loop equivalence wall and the
 /// `tracing_leaves_timing_untouched` test).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSettings {
     /// Master switch; off costs the hot loop one `Option` check.
     pub enabled: bool,

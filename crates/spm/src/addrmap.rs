@@ -8,7 +8,6 @@
 //! which case the MMU/TLB is bypassed and the physical SPM address is formed
 //! directly — or regular global memory.
 
-use serde::{Deserialize, Serialize};
 use simkernel::{ByteSize, CoreId};
 
 use mem::{Addr, AddressRange};
@@ -37,7 +36,7 @@ pub const DEFAULT_SPM_PHYSICAL_BASE: u64 = 0x0000_2000_0000_0000;
 /// assert_eq!(map.owner_of(addr), Some(CoreId::new(3)));
 /// assert!(map.is_spm_addr(addr));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpmAddressMap {
     cores: usize,
     spm_size: ByteSize,

@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use simkernel::{CoreId, Cycle, StatRegistry};
 
 use mem::{AddressRange, MemorySystem, ValueStore};
@@ -21,7 +20,7 @@ use mem::{AddressRange, MemorySystem, ValueStore};
 pub type DmaTag = u32;
 
 /// Configuration of one DMA controller (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmacConfig {
     /// Entries of the in-order DMA command queue.
     pub command_queue_entries: usize,
@@ -53,7 +52,7 @@ impl Default for DmacConfig {
 }
 
 /// Direction of a DMA transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DmaDirection {
     /// Global memory → SPM (`dma-get`).
     Get,

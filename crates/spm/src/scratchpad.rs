@@ -6,11 +6,10 @@
 //! Base/Offset mask registers are derived from, and the buffer index is what
 //! the SPMDir uses as its entry index.
 
-use serde::{Deserialize, Serialize};
 use simkernel::{ByteSize, Cycle};
 
 /// Identifies one of the equally-sized buffers the SPM is divided into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BufferId(pub usize);
 
 impl BufferId {
@@ -21,7 +20,7 @@ impl BufferId {
 }
 
 /// Configuration of one scratchpad memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpmConfig {
     /// Capacity of the scratchpad.
     pub size: ByteSize,
@@ -75,7 +74,7 @@ impl Default for SpmConfig {
 /// assert_eq!(spm.buffer_size().bytes(), 16 * 1024);
 /// assert_eq!(spm.buffer_base(buffers[1]), 16 * 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scratchpad {
     config: SpmConfig,
     buffers: usize,

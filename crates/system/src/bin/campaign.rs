@@ -8,31 +8,40 @@
 //!
 //! Every `--benchmarks × --machines × --cores × --scale × --spm-kib ×
 //! --filters × --filterdirs × --protocols` combination becomes one
-//! simulation point.
+//! simulation point; `--protocols` multiplies hybrid-proposed only.
 //! Points execute on `--jobs` workers; results are cached under
 //! `--cache-dir` (default `target/campaign-cache`), so a repeated
 //! invocation executes only new or changed points.  The last line printed
 //! is the accounting, e.g. `campaign: 24 points, executed 0, cache hits 24`.
 
-use campaign::{summarize, Executor, ResultCache, SweepSpec};
+use campaign::{
+    summarize, Executor, ResultCache, SweepSpec, ENGINE_IDS, MACHINE_IDS, NOC_MODEL_IDS,
+    PROTOCOL_IDS,
+};
 use system::cli::{parse_list, write_export};
 use system::sweep::{attach_breakdowns, records_of, run_points, RunContext};
 
-const USAGE: &str = "\
+/// The `--help` text.  The machine, NoC-model, engine and protocol lines are
+/// built from the canonical id lists (first id = default), so they cannot
+/// drift from what the parser accepts.
+fn usage() -> String {
+    let ids = |list: &[&str]| format!("{} (default {})", list.join(", "), list[0]);
+    format!(
+        "\
 campaign — parameter-space sweeps over the ISCA'15 machines
 
 options (LIST = comma-separated values):
   --benchmarks LIST   benchmarks to sweep (default CG,IS; all six: CG,EP,FT,IS,MG,SP)
-  --machines LIST     machine kinds (default cache-only,hybrid-ideal,hybrid-proposed)
+  --machines LIST     machine kinds: {machines} (default all)
   --cores LIST        core counts (default 64)
   --scale LIST        extra data-set scale multipliers (default 1.0)
   --spm-kib LIST      per-core SPM sizes in KiB (default: Table 1)
   --filters LIST      per-core filter entry counts (default: Table 1)
   --filterdirs LIST   filterDir entry counts (default: Table 1)
-  --noc-models LIST   NoC models: analytic, discrete-event (default analytic)
-  --engines LIST      execution engines: legacy, interleaved (default legacy)
-  --protocols LIST    coherence protocols: filterdir, directory (default
-                      filterdir; only the proposed machine differs)
+  --noc-models LIST   NoC models: {noc_models}
+  --engines LIST      execution engines: {engines}
+  --protocols LIST    coherence protocols: {protocols};
+                      sweeps hybrid-proposed only, the other machines run once
   --small             use the scaled-down test machine at each core count
   --jobs N            parallel workers (default: available parallelism)
   --cache-dir PATH    result-cache directory (default target/campaign-cache)
@@ -44,7 +53,13 @@ options (LIST = comma-separated values):
                       (dedicated passes, never cached)
   --quiet             suppress the summary table (accounting still prints)
   --help              this text
-";
+",
+        machines = MACHINE_IDS.join(", "),
+        noc_models = ids(&NOC_MODEL_IDS),
+        engines = ids(&ENGINE_IDS),
+        protocols = ids(&PROTOCOL_IDS),
+    )
+}
 
 #[derive(Debug)]
 struct Options {
@@ -120,8 +135,8 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
             "--json" => options.json = Some(value("--json")?),
             "--cycle-accounting" => options.cycle_accounting = true,
             "--quiet" => options.quiet = true,
-            "--help" | "-h" => return Err(USAGE.to_owned()),
-            other => return Err(format!("unknown argument '{other}'\n\n{USAGE}")),
+            "--help" | "-h" => return Err(usage()),
+            other => return Err(format!("unknown argument '{other}'\n\n{}", usage())),
         }
     }
     Ok(options)
@@ -174,4 +189,23 @@ fn main() {
         }
     }
     println!("{}", report.accounting());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_names_every_axis_id() {
+        let text = usage();
+        for id in MACHINE_IDS
+            .iter()
+            .chain(&NOC_MODEL_IDS)
+            .chain(&ENGINE_IDS)
+            .chain(&PROTOCOL_IDS)
+        {
+            assert!(text.contains(id), "usage misses '{id}':\n{text}");
+        }
+        assert!(text.contains("execution engines: legacy, interleaved, parallel (default legacy)"));
+    }
 }

@@ -1,7 +1,8 @@
-//! Shared command-line driver used by the report binaries (`table2`, `fig7`,
-//! … `fig11`, `ablations`, `full_eval`).
+//! Shared command-line driver behind the `report` binary:
+//! `report <table1|table2|fig7|fig8|fig9|fig10|fig11|ablations|full_eval>
+//! [options]` (the ids are [`Report::id`]).
 //!
-//! Every binary accepts the same optional arguments:
+//! Every report accepts the same optional arguments:
 //!
 //! ```text
 //! --cores N          number of cores (default 64, the paper's machine)
@@ -445,7 +446,7 @@ impl CliOptions {
     }
 }
 
-/// Which report a binary wants to print.
+/// Which report to print; the `report` binary's first argument names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Report {
     /// Table 1 (simulator parameters).
@@ -466,6 +467,41 @@ pub enum Report {
     Ablations,
     /// Everything, including the headline summary.
     Full,
+}
+
+impl Report {
+    /// Every report, in the paper's order.
+    pub const ALL: [Report; 9] = [
+        Report::Table1,
+        Report::Table2,
+        Report::Fig7,
+        Report::Fig8,
+        Report::Fig9,
+        Report::Fig10,
+        Report::Fig11,
+        Report::Ablations,
+        Report::Full,
+    ];
+
+    /// The report's command-line name.
+    pub fn id(self) -> &'static str {
+        match self {
+            Report::Table1 => "table1",
+            Report::Table2 => "table2",
+            Report::Fig7 => "fig7",
+            Report::Fig8 => "fig8",
+            Report::Fig9 => "fig9",
+            Report::Fig10 => "fig10",
+            Report::Fig11 => "fig11",
+            Report::Ablations => "ablations",
+            Report::Full => "full_eval",
+        }
+    }
+
+    /// The report named `id`, if any.
+    pub fn from_id(id: &str) -> Option<Report> {
+        Report::ALL.into_iter().find(|r| r.id() == id)
+    }
 }
 
 /// Runs the requested report and returns the text to print.
@@ -789,6 +825,20 @@ mod tests {
             doc.get("benchmark").and_then(simkernel::Json::as_str),
             Some("CG")
         );
+    }
+
+    #[test]
+    fn report_ids_round_trip_and_unknown_names_list_them() {
+        let ids = Report::ALL.map(Report::id);
+        for report in Report::ALL {
+            assert_eq!(Report::from_id(report.id()), Some(report));
+        }
+        let error = parse_id_flag("report", "fig12", Report::from_id, &ids).unwrap_err();
+        assert!(error.contains("fig12"), "{error}");
+        for id in ids {
+            assert!(error.contains(id), "{error}");
+        }
+        assert!(parse_id_flag("report", "", Report::from_id, &ids).is_err());
     }
 
     #[test]

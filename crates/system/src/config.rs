@@ -1,6 +1,5 @@
 //! System configuration (Table 1) and machine kinds.
 
-use serde::{Deserialize, Serialize};
 use simkernel::trace::TraceSettings;
 use simkernel::{ByteSize, Frequency};
 
@@ -11,7 +10,7 @@ use spm::{DmacConfig, SpmConfig};
 use spm_coherence::ProtocolConfig;
 
 /// The three machines compared in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MachineKind {
     /// The cache-based baseline of §5.4 (64 KB L1 D-cache, no SPMs).
     CacheOnly,
@@ -76,7 +75,7 @@ impl std::fmt::Display for MachineKind {
 /// paper's "cheaper than a conventional directory" claim a runnable
 /// ablation.  The other machine kinds (cache-only, hybrid-ideal) ignore
 /// this knob — they always use the ideal-coherence oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoherenceProtocol {
     /// The paper's protocol: per-core filters + distributed filterDir +
     /// per-core SPMDirs.
@@ -120,7 +119,7 @@ impl std::fmt::Display for CoherenceProtocol {
 /// of them are bit-identical; with many cores the interleaved engine is the
 /// faithful one, and the difference between them measures the ordering
 /// artifact of each scheduling discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionEngine {
     /// Tile-serialized replay: each core runs a whole trace segment to
     /// completion before the next core starts.  Shared state observes
@@ -175,7 +174,7 @@ impl std::fmt::Display for ExecutionEngine {
 }
 
 /// The whole-system configuration (the knobs of Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of cores / tiles.
     pub cores: usize,
@@ -190,7 +189,7 @@ pub struct SystemConfig {
     /// The proposed protocol's structure sizes.
     pub protocol: ProtocolConfig,
     /// Which coherence backend the hybrid-proposed machine runs
-    /// (`--protocol` on the report binaries).
+    /// (`--protocol` of the `report` binary).
     pub coherence_protocol: CoherenceProtocol,
     /// Core pipeline parameters.
     pub core: CoreConfig,
@@ -218,7 +217,7 @@ pub struct SystemConfig {
     /// key like any other hardware parameter.
     pub epoch_cycles: u64,
     /// Print per-core clock/work/stall figures after every kernel
-    /// (`--debug-cores` on the report binaries).
+    /// (`--debug-cores` of the `report` binary).
     pub debug_cores: bool,
     /// Thread real data values through the memory system (DRAM, caches,
     /// scratchpads, DMA) alongside the timing model.
@@ -227,14 +226,14 @@ pub struct SystemConfig {
     /// `value_tracking_overhead` bench for the throughput cost), and the
     /// verification entry points arm it themselves.
     pub track_values: bool,
-    /// Structured event tracing (`--trace` on the report binaries).
+    /// Structured event tracing (`--trace` of the `report` binary).
     ///
     /// Presentation-only, like `debug_cores`: a traced run's timing, traffic
     /// and statistics are bit-identical to an untraced one (pinned by
     /// `tracing_leaves_timing_untouched`), so the campaign cache key pins
     /// this to its default.
     pub trace: TraceSettings,
-    /// Cycle accounting (`--cycle-accounting` on the report binaries):
+    /// Cycle accounting (`--cycle-accounting` of the `report` binary):
     /// per-core [`simkernel::attrib`] category counters whose sum is pinned
     /// bit-exactly to each core's elapsed cycles.
     ///
@@ -276,7 +275,7 @@ impl SystemConfig {
     }
 
     /// A scaled-down machine (smaller caches, L2 slices and SPMs) for fast
-    /// unit tests, doctests and criterion benches.  Workloads meant for this
+    /// unit tests, doctests and `bench_report`.  Workloads meant for this
     /// configuration should be scaled accordingly.
     pub fn small(cores: usize) -> Self {
         let mut cfg = Self::with_cores(cores);

@@ -22,7 +22,6 @@
 //!   protocol vs the plain home-directory baseline, comparing cycles and
 //!   coherence traffic (what the filters actually save).
 
-use serde::{Deserialize, Serialize};
 use simkernel::json::Json;
 use simkernel::ByteSize;
 
@@ -35,7 +34,7 @@ use crate::report::{fmt_percent, fmt_ratio, TableBuilder};
 use crate::sweep::{LoweredRun, RunContext};
 
 /// One point of the filter-size sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FilterSizePoint {
     /// Filter entries per core.
     pub filter_entries: usize,
@@ -92,7 +91,7 @@ pub fn filter_size_table(points: &[FilterSizePoint]) -> String {
 }
 
 /// One point of the SPM-size sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpmSizePoint {
     /// Scratchpad size per core.
     pub spm_size: ByteSize,
@@ -154,7 +153,7 @@ pub fn spm_size_table(points: &[SpmSizePoint]) -> String {
 }
 
 /// One point of the guarded-intensity sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuardedIntensityPoint {
     /// Guarded accesses per loop iteration.
     pub guarded_per_iteration: f64,
@@ -220,7 +219,7 @@ pub fn guarded_intensity_table(points: &[GuardedIntensityPoint]) -> String {
 
 /// One point of the NoC contention sweep: one mesh size, one injection
 /// rate, one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NocContentionPoint {
     /// Tiles in the mesh.
     pub cores: usize,
@@ -413,7 +412,7 @@ pub fn noc_contention_json(points: &[NocContentionPoint]) -> String {
 
 /// One row of the protocol-comparison sweep: one benchmark, both coherence
 /// backends on the proposed machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolComparisonPoint {
     /// Benchmark name.
     pub benchmark: String,

@@ -1,7 +1,5 @@
 //! Derivation of Figures 7–11 from a set of cached runs.
 
-use serde::{Deserialize, Serialize};
-
 use energy::Component;
 use noc::MessageClass;
 use workloads::Phase;
@@ -14,7 +12,7 @@ use super::ExperimentSuite;
 // ---------------------------------------------------------------- Figure 7
 
 /// One benchmark's overheads of the proposed protocol over ideal coherence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig7Row {
     /// Execution-time ratio (proposed / ideal).
     pub execution_time: f64,
@@ -26,7 +24,7 @@ pub struct Fig7Row {
 
 /// Figure 7: overhead in execution time, energy and NoC traffic added by the
 /// coherence protocol, per benchmark, relative to ideal coherence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Table {
     /// `(benchmark, overhead ratios)` in the paper's order.
     pub rows: Vec<(String, Fig7Row)>,
@@ -99,7 +97,7 @@ pub(super) fn fig7(suite: &ExperimentSuite) -> Fig7Table {
 // ---------------------------------------------------------------- Figure 8
 
 /// Figure 8: filter hit ratio per benchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Table {
     /// `(benchmark, hit ratio)`; `None` for benchmarks that issue no guarded
     /// accesses (SP).
@@ -147,7 +145,7 @@ pub(super) fn fig8(suite: &ExperimentSuite) -> Fig8Table {
 
 /// One benchmark's execution-time comparison (everything normalised to the
 /// cache-based system).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig9Row {
     /// Hybrid execution time relative to the cache-based system.
     pub hybrid_normalized: f64,
@@ -164,7 +162,7 @@ pub struct Fig9Row {
 }
 
 /// Figure 9: performance of the cache-based and hybrid systems.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Table {
     /// `(benchmark, row)` in the paper's order.
     pub rows: Vec<(String, Fig9Row)>,
@@ -249,7 +247,7 @@ pub(super) fn fig9(suite: &ExperimentSuite) -> Fig9Table {
 
 /// Figure 10: NoC traffic of the cache-based and hybrid systems, split into
 /// the six message classes and normalised to the cache-based total.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Table {
     /// `(benchmark, cache-based packets per class, hybrid packets per class,
     /// hybrid total normalised to cache-based)`.
@@ -330,7 +328,7 @@ pub(super) fn fig10(suite: &ExperimentSuite) -> Fig10Table {
 
 /// Figure 11: energy of the cache-based and hybrid systems, split into the
 /// six component groups and normalised to the cache-based total.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Table {
     /// `(benchmark, cache-based fractions per component, hybrid fractions per
     /// component normalised to the cache-based total, hybrid total)`.
@@ -388,7 +386,7 @@ pub(super) fn fig11(suite: &ExperimentSuite) -> Fig11Table {
 // ----------------------------------------------------------------- Summary
 
 /// The headline comparison the paper reports in its abstract and conclusions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SummaryTable {
     /// Average speedup of the hybrid system over the cache-based system.
     pub average_speedup: f64,
@@ -529,7 +527,7 @@ fn ratio(numerator: f64, denominator: f64) -> f64 {
     }
 }
 
-/// The message classes in figure order (re-exported for report binaries).
+/// The message classes in figure order (re-exported for the `report` binary).
 pub fn message_classes() -> [MessageClass; 6] {
     MessageClass::ALL
 }

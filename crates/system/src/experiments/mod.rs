@@ -17,8 +17,6 @@
 pub mod ablations;
 pub mod figures;
 
-use serde::{Deserialize, Serialize};
-
 use workloads::nas::NasBenchmark;
 
 use crate::config::{MachineKind, SystemConfig};
@@ -30,7 +28,7 @@ pub use figures::{
 };
 
 /// A cached set of benchmark runs from which every figure is derived.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentSuite {
     /// The configuration the suite was run with.
     pub config_label: String,
@@ -106,7 +104,7 @@ impl ExperimentSuite {
     }
 
     /// A reduced suite (fewer cores and much smaller data sets) used by the
-    /// integration tests and criterion benches.
+    /// integration tests.
     pub fn run_quick(
         config: &SystemConfig,
         benchmarks: &[NasBenchmark],

@@ -1,6 +1,5 @@
 //! The full machine: drives workload traces through every hardware model.
 
-use serde::{Deserialize, Serialize};
 use simkernel::attrib::CoreBreakdown;
 use simkernel::trace::{
     CategoryMask, ChromeTrace, TraceCategory, TraceEvent, TraceKind, TraceSettings, Tracer,
@@ -24,7 +23,7 @@ use crate::engine::{self, KernelCtx, ProgramRef};
 use crate::verify::{merge_image, ValueTracking, VerifyOutcome};
 
 /// The result of running one benchmark on one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Benchmark name.
     pub benchmark: String,

@@ -125,7 +125,7 @@ pub type LoweredRun = (SystemConfig, BenchmarkSpec, MachineKind);
 ///
 /// This is the object the experiment suite, the ablation sweeps and the
 /// campaign binary all funnel their runs through, which is what gives every
-/// report binary `--jobs` parallelism and `--cache-dir` caching at once.
+/// report `--jobs` parallelism and `--cache-dir` caching at once.
 #[derive(Debug, Clone, Default)]
 pub struct RunContext {
     /// The parallel executor (defaults to available parallelism).

@@ -1,13 +1,12 @@
 //! Regeneration of Table 2 (benchmark and memory-access characterisation).
 
-use serde::{Deserialize, Serialize};
 use simkernel::ByteSize;
 
 use crate::nas::NasBenchmark;
 use crate::spec::BenchmarkSpec;
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CharacterizationRow {
     /// Benchmark name.
     pub name: String,

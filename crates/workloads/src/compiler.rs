@@ -9,7 +9,6 @@
 //! classification on a [`BenchmarkSpec`] and fixes the concrete address
 //! layout, buffer sizes and tiling parameters the trace generator needs.
 
-use serde::{Deserialize, Serialize};
 use simkernel::ByteSize;
 
 use mem::Addr;
@@ -18,7 +17,7 @@ use crate::spec::{BenchmarkSpec, KernelSpec};
 
 /// Whether code is generated for the hybrid memory system or for the
 /// cache-based baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// The original untiled loop: every reference is a plain cached access.
     CacheOnly,
@@ -28,7 +27,7 @@ pub enum ExecMode {
 }
 
 /// The machine parameters the compiler needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineParams {
     /// Number of cores the loop is parallelised over (fork-join).
     pub cores: usize,
@@ -47,7 +46,7 @@ impl MachineParams {
 }
 
 /// A strided reference after compilation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledArrayRef {
     /// Name (for reports).
     pub name: String,
@@ -66,7 +65,7 @@ pub struct CompiledArrayRef {
 }
 
 /// A random reference after compilation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRandomRef {
     /// Name (for reports).
     pub name: String,
@@ -89,7 +88,7 @@ pub struct CompiledRandomRef {
 }
 
 /// One kernel after compilation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
     /// Kernel name.
     pub name: String,
@@ -139,7 +138,7 @@ impl CompiledKernel {
 }
 
 /// A fully compiled benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledBenchmark {
     /// Benchmark name.
     pub name: String,

@@ -11,13 +11,12 @@
 //! huge strided sets with only a few guarded references, and SP issues no
 //! guarded accesses at all.
 
-use serde::{Deserialize, Serialize};
 use simkernel::ByteSize;
 
 use crate::spec::{ArrayRef, BenchmarkSpec, GuardedRef, KernelSpec};
 
 /// The six benchmarks of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NasBenchmark {
     /// Conjugate gradient (sparse matrix-vector products with a gather).
     Cg,

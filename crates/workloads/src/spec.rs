@@ -1,11 +1,10 @@
 //! Workload specifications: the per-benchmark characteristics of Table 2.
 
-use serde::{Deserialize, Serialize};
 use simkernel::ByteSize;
 
 /// One array section traversed with a strided access pattern, private to each
 /// thread — the preferred candidate for SPM mapping (§2.2 of the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayRef {
     /// Human-readable name of the reference (for reports).
     pub name: String,
@@ -43,7 +42,7 @@ impl ArrayRef {
 /// all the paper's benchmarks) — either provably unaliased (a GM access) or
 /// potentially incoherent (a guarded access), depending on what the alias
 /// analysis can prove.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GuardedRef {
     /// Human-readable name of the reference.
     pub name: String,
@@ -97,7 +96,7 @@ impl GuardedRef {
 }
 
 /// One parallel kernel (a transformed computational loop).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelSpec {
     /// Kernel name (for reports).
     pub name: String,
@@ -154,7 +153,7 @@ impl KernelSpec {
 }
 
 /// A whole benchmark: one or more kernels executed in sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkSpec {
     /// Benchmark name ("CG", "EP", ...).
     pub name: String,

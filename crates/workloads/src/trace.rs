@@ -1,11 +1,9 @@
 //! The trace representation consumed by the core timing model.
 
-use serde::{Deserialize, Serialize};
-
 use mem::{Addr, AddressRange};
 
 /// The three execution phases of a transformed loop (paper Figure 3/9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Phase {
     /// Mapping chunks of array sections to the SPM buffers (`MAP` calls,
     /// issuing `dma-get`/`dma-put`).
@@ -42,7 +40,7 @@ impl Phase {
 }
 
 /// How the compiler classified a memory reference (§2.4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemRefClass {
     /// A strided access to a private array section staged in an SPM buffer.
     /// Emitted as a normal instruction whose base register points into the
@@ -80,7 +78,7 @@ impl MemRefClass {
 }
 
 /// One operation of a core's execution trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceOp {
     /// Execute `insts` non-memory instructions.
     Compute {

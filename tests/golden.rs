@@ -10,7 +10,7 @@
 //!    proposed protocol).
 //!
 //! If a change legitimately alters Table 2, regenerate the snapshot with
-//! `cargo run --release -p system --bin table2 > tests/golden/table2.txt`
+//! `cargo run --release -p system --bin report -- table2 > tests/golden/table2.txt`
 //! and justify the drift in the PR.
 
 use spm_manycore::system::{Machine, MachineKind, SystemConfig};
