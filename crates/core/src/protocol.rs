@@ -110,7 +110,9 @@ pub trait CoherenceBackend {
     /// run any guarded access core-locally.  The lane holds raw pointers to
     /// the core's structures inside the protocol, so run-ahead mutates the
     /// resident SPMDir and filter directly and the commit phase sees every
-    /// update with no swapping.
+    /// update with no swapping.  The address-decode registers are copied
+    /// once, here: only [`configure_buffer_size`](Self::configure_buffer_size)
+    /// moves them, and it runs between kernels, before the lanes exist.
     ///
     /// # Safety
     ///
@@ -121,11 +123,6 @@ pub trait CoherenceBackend {
     unsafe fn new_core_lane(&mut self, _core: CoreId) -> Option<ProtocolLane> {
         None
     }
-
-    /// Re-copies the protocol's address-decode registers into the lane.
-    /// Called once per round: a deferred op committed since the last round
-    /// (an `AllocateBuffers` reconfiguration) can move them.
-    fn refresh_lane(&self, _lane: &mut ProtocolLane) {}
 
     /// Folds a lane's scratch statistics back into the protocol's.
     fn merge_lane_scratch(&mut self, _lane: &mut ProtocolLane) {}
@@ -179,11 +176,6 @@ pub struct ProtocolLane {
 unsafe impl Send for ProtocolLane {}
 
 impl ProtocolLane {
-    /// The core this lane belongs to.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
     /// Attempts one guarded access using only this core's structures.
     ///
     /// `mem_lane` is the same core's hierarchy lane (guarded accesses served
@@ -207,18 +199,9 @@ impl ProtocolLane {
 
         // Classify first, with read-only probes, so a deferred access
         // leaves every counter untouched for the full path to count at the
-        // commit phase.  Case (b) — mapped to the local SPM — is lane-local
-        // unless a guarded store's GM write-through would miss; case (a) —
-        // the filter knows the chunk is unmapped — is lane-local iff the GM
-        // access itself is.  (`Filter::probe` is false on a gated filter,
-        // so the gated path always defers.)  Anything else needs the
-        // filterDir and the NoC: defer.
-        let local_spm = spmdir.probe(base).is_some();
-        if local_spm {
-            if is_write && !mem_lane.can_serve(addr, AccessKind::Store, GUARDED_REFERENCE_ID) {
-                return None;
-            }
-        } else if !filter.probe(base) || !mem_lane.can_serve(addr, kind, GUARDED_REFERENCE_ID) {
+        // commit phase.
+        let l1_serves = |kind| mem_lane.can_serve(addr, kind, GUARDED_REFERENCE_ID);
+        if !guarded_is_lane_local(spmdir, filter, base, is_write, l1_serves) {
             return None;
         }
 
@@ -233,7 +216,7 @@ impl ProtocolLane {
             let spm_latency = if is_write {
                 let _ = mem_lane
                     .try_access(addr, AccessKind::Store, GUARDED_REFERENCE_ID)
-                    .expect("can_serve checked above");
+                    .expect("classified lane-local above");
                 spm.write_local()
             } else {
                 spm.read_local()
@@ -253,7 +236,7 @@ impl ProtocolLane {
         self.scratch.filter_hits += 1;
         let result = mem_lane
             .try_access(addr, kind, GUARDED_REFERENCE_ID)
-            .expect("can_serve checked above");
+            .expect("classified lane-local above");
         self.scratch.served_by_gm += 1;
         Some(GuardedOutcome {
             latency: result.latency,
@@ -279,6 +262,33 @@ impl ProtocolLane {
         let buffer_base = self.buffer_size.bytes() * buffer as u64;
         let spm_offset = (buffer_base + offset).min(self.spm_size.bytes() - 1);
         self.address_map.spm_addr(self.core, spm_offset)
+    }
+}
+
+/// The guarded-access lane classification, the one place it is written:
+/// would this access resolve with no observable effect outside the core's
+/// own SPMDir, filter and L1 (`l1_serves` answers the L1 half for a given
+/// access kind)?  Case (b) — mapped to the local SPM — is lane-local unless
+/// a guarded store's GM write-through would miss; case (a) — the filter
+/// knows the chunk is unmapped — is lane-local iff the GM access itself is
+/// (`Filter::probe` is false on a gated filter, so the gated path always
+/// defers).  Anything else needs the filterDir and the NoC.
+fn guarded_is_lane_local(
+    spmdir: &SpmDir,
+    filter: &Filter,
+    base: Addr,
+    is_write: bool,
+    l1_serves: impl FnOnce(AccessKind) -> bool,
+) -> bool {
+    let kind = if is_write {
+        AccessKind::Store
+    } else {
+        AccessKind::Load
+    };
+    if spmdir.probe(base).is_some() {
+        !is_write || l1_serves(kind)
+    } else {
+        filter.probe(base) && l1_serves(kind)
     }
 }
 
@@ -734,14 +744,6 @@ impl CoherenceBackend for SpmCoherenceProtocol {
         })
     }
 
-    fn refresh_lane(&self, lane: &mut ProtocolLane) {
-        // The decode registers can move between rounds (a deferred
-        // `AllocateBuffers` reconfigures the buffer size), so the lane
-        // re-copies them before every run-ahead phase.
-        lane.masks = self.masks;
-        lane.buffer_size = self.buffer_size;
-    }
-
     fn merge_lane_scratch(&mut self, lane: &mut ProtocolLane) {
         self.stats.merge(&lane.scratch);
         lane.scratch = ProtocolStats::new();
@@ -754,20 +756,14 @@ impl CoherenceBackend for SpmCoherenceProtocol {
         is_write: bool,
         memsys: &MemorySystem,
     ) -> bool {
-        let (base, _) = self.masks.decompose(addr);
-        if self.spmdirs[core.index()].probe(base).is_some() {
-            return !is_write
-                || memsys.is_lane_local(core, addr, AccessKind::Store, GUARDED_REFERENCE_ID);
-        }
-        if self.filters[core.index()].probe(base) {
-            let kind = if is_write {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            return memsys.is_lane_local(core, addr, kind, GUARDED_REFERENCE_ID);
-        }
-        false
+        let i = core.index();
+        guarded_is_lane_local(
+            &self.spmdirs[i],
+            &self.filters[i],
+            self.masks.base(addr),
+            is_write,
+            |kind| memsys.is_lane_local(core, addr, kind, GUARDED_REFERENCE_ID),
+        )
     }
 
     fn export_stats(&self, stats: &mut StatRegistry) {

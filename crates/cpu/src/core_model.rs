@@ -460,18 +460,22 @@ impl CoreTimingModel {
     /// wraps around, which is how loops behave.
     pub fn take_due_ifetches(&mut self, code_base: Addr, code_size: u64) -> Vec<Addr> {
         let mut fetches = Vec::new();
-        while let Some(addr) = self.next_due_ifetch(code_base, code_size) {
+        while let Some(addr) = self.peek_due_ifetch(code_base, code_size) {
+            self.pop_due_ifetch();
             fetches.push(addr);
         }
         fetches
     }
 
-    /// Non-consuming twin of [`next_due_ifetch`](Self::next_due_ifetch): the
-    /// line address the next call would return, with no accounting moved.
+    /// The line address of the next due instruction-cache line fetch, if
+    /// any, with no accounting moved; [`pop_due_ifetch`](Self::pop_due_ifetch)
+    /// then consumes it.
     ///
-    /// The parallel engine peeks so an instruction fetch that misses the
-    /// core's private L1I can be *deferred* to the epoch-boundary commit —
-    /// the later `next_due_ifetch` there pops the identical address.
+    /// The per-op interpreter drains fetches one at a time, so the common
+    /// case (zero or one due fetch) never materialises a `Vec`; splitting
+    /// peek from pop lets the parallel engine *defer* a fetch that misses
+    /// the core's private L1I to the epoch-boundary commit, which then pops
+    /// the identical address.
     #[inline]
     pub fn peek_due_ifetch(&self, code_base: Addr, code_size: u64) -> Option<Addr> {
         const LINE: u64 = 64;
@@ -481,22 +485,15 @@ impl CoreTimingModel {
         Some(code_base + (self.code_cursor % code_size.max(LINE)))
     }
 
-    /// Pops the next due instruction-cache line fetch, if any.
-    ///
-    /// The streaming form of [`CoreTimingModel::take_due_ifetches`]: the
-    /// per-op interpreter drains fetches one at a time, so the common case
-    /// (zero or one due fetch) never materialises a `Vec`.
+    /// Consumes the due fetch [`peek_due_ifetch`](Self::peek_due_ifetch)
+    /// returned.
     #[inline]
-    pub fn next_due_ifetch(&mut self, code_base: Addr, code_size: u64) -> Option<Addr> {
+    pub fn pop_due_ifetch(&mut self) {
         const LINE: u64 = 64;
-        if self.fetch_bytes_accum < LINE {
-            return None;
-        }
+        debug_assert!(self.fetch_bytes_accum >= LINE, "no fetch is due");
         self.fetch_bytes_accum -= LINE;
-        let addr = code_base + (self.code_cursor % code_size.max(LINE));
         self.code_cursor += LINE;
         self.ifetches_due += 1;
-        Some(addr)
     }
 
     /// Applies the latency of one instruction fetch.

@@ -1164,23 +1164,11 @@ impl MemorySystem {
     }
 
     /// Decides whether a demand access can be served entirely by `core`'s
-    /// private structures, with no observable effect on any shared state.
-    ///
-    /// This is the lane fast path's classification, exposed read-only so the
-    /// parallel engine's observer mode (value tracking, tracing, per-core
-    /// debug) can classify identically while still executing every access
-    /// through the full path:
-    ///
-    /// * instruction fetches: L1I hit;
-    /// * loads: L1D hit in any valid state;
-    /// * stores: L1D hit in `Modified` only — a silent `Exclusive→Modified`
-    ///   upgrade writes the directory at the home slice, and `Shared`/
-    ///   `Owned` hits invalidate other cores, so both defer;
-    /// * loads and stores additionally defer when training the stride
-    ///   prefetcher on them would emit predictions
-    ///   ([`StridePrefetcher::would_predict`]) — prefetch fills go through
-    ///   the shared L2/NoC/DRAM, so the access that issues them must run on
-    ///   the full path, at its committed position in global order.
+    /// private structures, with no observable effect on any shared state:
+    /// the lane fast path's classification (`lane_serves`), exposed
+    /// read-only so the parallel engine's observer mode (value tracking,
+    /// tracing, per-core debug) can classify identically while still
+    /// executing every access through the full path.
     pub fn is_lane_local(
         &self,
         core: CoreId,
@@ -1188,22 +1176,10 @@ impl MemorySystem {
         kind: AccessKind,
         reference_id: u64,
     ) -> bool {
-        let line = addr.line();
-        match kind {
-            AccessKind::Ifetch => self.l1i[core.index()].contains(line),
-            AccessKind::Load => {
-                self.l1d[core.index()].contains(line)
-                    && !(self.config.prefetcher.enabled
-                        && self.prefetchers[core.index()].would_predict(reference_id, addr))
-            }
-            AccessKind::Store => {
-                matches!(
-                    self.l1d[core.index()].lookup(line),
-                    Some(MoesiState::Modified)
-                ) && !(self.config.prefetcher.enabled
-                    && self.prefetchers[core.index()].would_predict(reference_id, addr))
-            }
-        }
+        let i = core.index();
+        let (l1i, l1d) = (&self.l1i[i], &self.l1d[i]);
+        let prefetcher = self.config.prefetcher.enabled.then(|| &self.prefetchers[i]);
+        lane_serves(l1i, l1d, prefetcher, addr, kind, reference_id)
     }
 
     // ------------------------------------------------------------------- DMA
@@ -1437,22 +1413,12 @@ impl CoreLane {
 
     /// Non-mutating variant of [`try_access`](Self::try_access)'s
     /// classification: would the access be served by the lane alone?
-    /// Same predicate as [`MemorySystem::is_lane_local`].
+    /// Same predicate (`lane_serves`) as [`MemorySystem::is_lane_local`].
     pub fn can_serve(&self, addr: Addr, kind: AccessKind, reference_id: u64) -> bool {
         // SAFETY: shared reads under `MemorySystem::new_lane`'s contract.
         let (l1i, l1d, prefetcher) = unsafe { (&*self.l1i, &*self.l1d, &*self.prefetcher) };
-        let line = addr.line();
-        match kind {
-            AccessKind::Ifetch => l1i.contains(line),
-            AccessKind::Load => {
-                l1d.contains(line)
-                    && !(self.prefetcher_enabled && prefetcher.would_predict(reference_id, addr))
-            }
-            AccessKind::Store => {
-                matches!(l1d.lookup(line), Some(MoesiState::Modified))
-                    && !(self.prefetcher_enabled && prefetcher.would_predict(reference_id, addr))
-            }
-        }
+        let prefetcher = self.prefetcher_enabled.then_some(prefetcher);
+        lane_serves(l1i, l1d, prefetcher, addr, kind, reference_id)
     }
 
     /// Attempts a demand access on the lane's private structures alone.
@@ -1468,57 +1434,72 @@ impl CoreLane {
         kind: AccessKind,
         reference_id: u64,
     ) -> Option<MemAccessResult> {
+        if !self.can_serve(addr, kind, reference_id) {
+            return None;
+        }
         let line = addr.line();
-        match kind {
-            AccessKind::Ifetch => {
-                // SAFETY: exclusive access per `MemorySystem::new_lane`.
-                let l1i = unsafe { &mut *self.l1i };
-                if !l1i.contains(line) {
-                    return None;
-                }
-                self.l1i_accesses += 1;
-                self.l1i_hits += 1;
-                let _ = l1i.access(line);
-                Some(MemAccessResult {
-                    latency: self.l1i_latency,
-                    served_by: ServedBy::L1,
-                    l1_hit: true,
-                })
+        // SAFETY: exclusive access per `MemorySystem::new_lane`.
+        let (l1i, l1d, prefetcher) =
+            unsafe { (&mut *self.l1i, &mut *self.l1d, &mut *self.prefetcher) };
+        let latency = if kind == AccessKind::Ifetch {
+            self.l1i_accesses += 1;
+            self.l1i_hits += 1;
+            let _ = l1i.access(line);
+            self.l1i_latency
+        } else {
+            self.l1d_accesses += 1;
+            self.l1d_hits += 1;
+            // Same single tag-array access as the full path's hit case
+            // (recency and the array's own counters move identically).
+            // A store hit is Modified-only here, so the full path's
+            // silent-upgrade write and directory update are both no-ops.
+            let _ = l1d.access(line);
+            if self.prefetcher_enabled {
+                // Keeps training in program order; `can_serve` just ruled
+                // out any predictions.
+                let predictions = prefetcher.train(reference_id, addr);
+                debug_assert!(predictions.is_empty());
             }
-            AccessKind::Load | AccessKind::Store => {
-                // SAFETY: exclusive access per `MemorySystem::new_lane`.
-                let (l1d, prefetcher) = unsafe { (&mut *self.l1d, &mut *self.prefetcher) };
-                let is_write = kind.is_write();
-                match l1d.lookup(line) {
-                    Some(&state) if !is_write || state == MoesiState::Modified => {}
-                    _ => return None,
-                }
-                if self.prefetcher_enabled && prefetcher.would_predict(reference_id, addr) {
-                    // Training on this access would emit prefetches, whose
-                    // fills touch the shared hierarchy — defer to the full
-                    // path so the fills land at the access's committed
-                    // position in global order.
-                    return None;
-                }
-                self.l1d_accesses += 1;
-                self.l1d_hits += 1;
-                // Same single tag-array access as the full path's hit case
-                // (recency and the array's own counters move identically).
-                // A store hit is Modified-only here, so the full path's
-                // silent-upgrade write and directory update are both no-ops.
-                let _ = l1d.access(line);
-                if self.prefetcher_enabled {
-                    // Keeps training in program order; `would_predict` just
-                    // ruled out any predictions.
-                    let predictions = prefetcher.train(reference_id, addr);
-                    debug_assert!(predictions.is_empty());
-                }
-                Some(MemAccessResult {
-                    latency: self.l1d_latency,
-                    served_by: ServedBy::L1,
-                    l1_hit: true,
-                })
-            }
+            self.l1d_latency
+        };
+        Some(MemAccessResult {
+            latency,
+            served_by: ServedBy::L1,
+            l1_hit: true,
+        })
+    }
+}
+
+/// The lane-locality predicate, the one place it is written: can `kind` at
+/// `addr` be served by a core's private L1I/L1D and stride prefetcher
+/// (`None` when prefetching is off) with no effect on shared state?
+///
+/// * instruction fetches: L1I hit;
+/// * loads: L1D hit in any valid state;
+/// * stores: L1D hit in `Modified` only — a silent `Exclusive→Modified`
+///   upgrade writes the directory at the home slice, and `Shared`/`Owned`
+///   hits invalidate other cores, so both defer;
+/// * loads and stores additionally defer when training the stride
+///   prefetcher on them would emit predictions
+///   ([`StridePrefetcher::would_predict`]) — prefetch fills go through the
+///   shared L2/NoC/DRAM, so the access that issues them must run on the
+///   full path, at its committed position in global order.
+fn lane_serves(
+    l1i: &CacheArray<()>,
+    l1d: &CacheArray<MoesiState>,
+    prefetcher: Option<&StridePrefetcher>,
+    addr: Addr,
+    kind: AccessKind,
+    reference_id: u64,
+) -> bool {
+    let line = addr.line();
+    match kind {
+        AccessKind::Ifetch => l1i.contains(line),
+        AccessKind::Load | AccessKind::Store => {
+            let hit = l1d
+                .lookup(line)
+                .is_some_and(|&state| !kind.is_write() || state == MoesiState::Modified);
+            hit && !prefetcher.is_some_and(|p| p.would_predict(reference_id, addr))
         }
     }
 }

@@ -1,7 +1,7 @@
-//! The execution engines: how cores are driven through a kernel.
+//! The execution engines and the one op interpreter they share.
 //!
-//! Both engines interpret per-core [`TraceOp`] streams through the same
-//! hardware models via the shared [`step_op`] interpreter; they differ only
+//! Every engine interprets per-core [`TraceOp`] streams through the same
+//! hardware models via one interpreter, [`step_op`]; the engines differ only
 //! in the order those ops reach the shared state:
 //!
 //! * [`run_kernel_legacy`] replays the trace segment-serialized — every
@@ -15,17 +15,33 @@
 //!   the stepped core is the earliest one, its local clock *is* the global
 //!   simulation clock, and shared state observes traffic in simulated-time
 //!   order — the order a real machine would produce.
+//! * [`run_kernel_parallel`] runs epochs: each core runs ahead through the
+//!   ops its own structures can serve, and the ops that need shared state
+//!   commit serially at the epoch boundary, in `(core clock, core id)`
+//!   order.
 //!
-//! With one core the two engines make an identical sequence of model calls,
-//! which is what pins them bit-identical (see `tests/engine.rs`) and makes
-//! the multi-core difference a pure measurement of the ordering artifact.
+//! [`step_op`] is generic over a [`Port`]: the few calls that reach shared
+//! state (the demand, ifetch and guarded accesses, `dma-get`/`dma-put`/
+//! `loop-end`, the NoC clock advance and the attributed-queue drain).  A
+//! port may defer an op by returning `None` before anything is mutated.
+//! Three ports exist: [`Full`] (the full paths over the whole
+//! [`KernelCtx`]; never defers) for legacy, interleaved and the parallel
+//! commit phase; [`Lane`] (the core's pointer lanes into the hierarchy and
+//! protocol) for the parallel engine's pooled run-ahead; and [`Probed`]
+//! (the full paths behind the read-only lane-locality predicates) for its
+//! run-ahead with an observer attached.
+//!
+//! With one core the legacy and interleaved engines make an identical
+//! sequence of model calls, which is what pins them bit-identical (see
+//! `tests/engine.rs`) and makes the multi-core difference a pure
+//! measurement of the ordering artifact.
 //!
 //! A kernel is either a *compiled* NAS-like kernel (trace synthesised by
 //! [`workloads::KernelExecution`]) or a *raw* kernel
 //! ([`workloads::RawKernel`]) whose per-core rounds are explicit — the
 //! representation the verification harness's litmus and fuzz programs use.
 //! Under the legacy engine a raw kernel's rounds play the role of tiles
-//! (round-robin across cores); under the interleaved engine the flattened
+//! (round-robin across cores); under the other engines the flattened
 //! stream is scheduled like any other.
 //!
 //! When [`KernelCtx::values`] is attached (`SystemConfig.track_values`),
@@ -41,10 +57,10 @@ use simkernel::trace::{TraceKind, Tracer};
 use simkernel::{ByteSize, CoreId, Cycle, CycleCategory, EventQueue};
 
 use cpu::CoreTimingModel;
-use mem::{AccessKind, Addr, CoreLane, MemorySystem};
+use mem::{AccessKind, Addr, AddressRange, CoreLane, MemAccessResult, MemorySystem};
 use noc::MessageClass;
-use spm::{Dmac, Scratchpad};
-use spm_coherence::{CoherenceBackend, GuardedTarget, ProtocolLane};
+use spm::{DmaTag, Dmac, Scratchpad};
+use spm_coherence::{CoherenceBackend, GuardedOutcome, GuardedTarget, ProtocolLane};
 use workloads::{
     CompiledKernel, KernelExecution, MemRefClass, OpCursor, Phase, RawKernel, Segment, TraceOp,
 };
@@ -146,8 +162,8 @@ impl OpStream<'_> {
     }
 }
 
-/// Everything one kernel's execution mutates, bundled so both engines (and
-/// the per-op interpreter) share one signature.
+/// Everything one kernel's execution mutates, bundled so every engine shares
+/// one signature; [`Full`] and [`Probed`] are the ports over it.
 pub(crate) struct KernelCtx<'a> {
     /// The kernel being executed.
     pub program: ProgramRef<'a>,
@@ -161,9 +177,6 @@ pub(crate) struct KernelCtx<'a> {
     pub dmacs: &'a mut [Dmac],
     /// Per-core timing models.
     pub cores: &'a mut [CoreTimingModel],
-    /// Whether the NoC backend has a clock to keep in step with the issuing
-    /// core (true only for the discrete-event model).
-    pub track_noc_clock: bool,
     /// Functional-memory state (+ optional oracle), when values are tracked.
     pub values: Option<&'a mut ValueTracking>,
     /// Structured event tracer (`SystemConfig.trace` / `--debug-cores`).
@@ -179,17 +192,22 @@ pub(crate) struct KernelCtx<'a> {
 
 /// What [`step_op`] does when a `dma-synch` has to wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SyncPolicy {
+enum SyncPolicy {
     /// Stall the core in place (legacy replay: nothing else can run anyway).
     StallInline,
     /// Report the wake cycle so the scheduler can park the core and run
     /// whichever core is earliest in the meantime.
     Park,
+    /// Park and resume at once, so the wait is charged to `Park` exactly as
+    /// under [`SyncPolicy::Park`] (the parallel engine's run-ahead: any DMA
+    /// the tags wait on was itself a deferred op, so its completion time is
+    /// already committed and the sync resolves locally).
+    ParkInPlace,
 }
 
 /// The result of interpreting one op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StepOutcome {
+enum StepOutcome {
     /// The op completed; the core can take its next op.
     Ran,
     /// The op left the core waiting for an event at `wake` (only under
@@ -199,107 +217,115 @@ pub(crate) enum StepOutcome {
         /// Cycle at which the core may continue.
         wake: Cycle,
     },
+    /// The port deferred the op before it mutated anything.
+    Deferred,
+    /// The op ran, but the port deferred one of its implied instruction
+    /// fetches: the fetch is left un-popped, and the rest of the drain plus
+    /// the op's epilogue are left to [`finish_op`].
+    FetchDeferred,
+}
+
+/// How [`step_op`] reaches the stepping core's own state and, through the
+/// shared-state calls (`access`, `guarded`, `dma`, `loop_end`), everything
+/// else.  A shared-state call returns `None` to defer its op — or, for an
+/// instruction fetch, the rest of the op's fetch drain — to the parallel
+/// engine's commit phase, with nothing mutated.  Each op's first port call
+/// is one of those or [`begin`](Port::begin), and the call that admits the
+/// op begins it (NoC clock, oracle op count), so a deferred op leaves even
+/// the observers untouched.  The defaults are a port with no shared state
+/// and no observer: every shared-state call defers, the rest do nothing.
+trait Port {
+    /// The stepping core's timing model.
+    fn core(&mut self) -> &mut CoreTimingModel;
+    /// The stepping core's scratchpad.
+    fn spm(&mut self) -> &mut Scratchpad;
+    /// The stepping core's DMA controller.
+    fn dmac(&mut self) -> &mut Dmac;
+    /// The kernel's code range `(base, size)`, for the implied fetches.
+    fn code(&self) -> (Addr, u64);
+
+    /// Begins an op that needs no shared state.
+    fn begin(&mut self) {}
+    /// A demand load or store, or one implied instruction fetch of the op
+    /// in flight (which begins nothing).
+    fn access(&mut self, _: Addr, _: AccessKind, _id: u64) -> Option<MemAccessResult> {
+        None
+    }
+    /// A guarded access, routed by the coherence protocol.
+    fn guarded(&mut self, _: Addr, _is_store: bool) -> Option<GuardedOutcome> {
+        None
+    }
+    /// A whole `dma-get` (or, with `get` off, `dma-put`): the transfer, the
+    /// SPM fill (drain), the protocol mapping (unmapping), the observers.
+    fn dma(&mut self, _get: bool, _: DmaTag, _buffer: usize, _: AddressRange) -> Option<()> {
+        None
+    }
+    /// A whole loop end: every mapping of the core is dropped.
+    fn loop_end(&mut self) -> Option<()> {
+        None
+    }
+    /// Drains the NoC queueing cycles the access just made measured (zero
+    /// while cycle accounting is off).
+    fn take_queue(&mut self) -> Cycle {
+        Cycle::ZERO
+    }
+    /// The per-op epilogue, after the instruction fetches.
+    fn end_op(&mut self) {}
+    /// The value-tracking view, when values are tracked.
+    fn values(&mut self) -> Option<Values<'_>> {
+        None
+    }
+    /// The event tracer, when one is attached.
+    fn tracer(&mut self) -> Option<&mut Tracer> {
+        None
+    }
+    /// Records a trace event on the core's track at its current clock.
+    fn trace(&mut self, _: TraceKind, _payload: [u64; 2]) {}
 }
 
 /// Interprets one trace op on one core: issues its memory traffic, charges
 /// its timing, performs the implied instruction fetches and, with value
 /// tracking on, moves the data values the op carries.
 ///
-/// This is the simulator's hottest loop body, shared verbatim by both
-/// engines so their per-op semantics cannot drift apart.
-pub(crate) fn step_op(
-    op: &TraceOp,
-    core_id: CoreId,
-    ctx: &mut KernelCtx<'_>,
-    policy: SyncPolicy,
-) -> StepOutcome {
-    let outcome = step_op_body(op, core_id, ctx, policy);
-    drain_due_ifetches(core_id, ctx);
-    op_epilogue(core_id, ctx);
-    outcome
-}
-
-/// The op interpreter proper: everything [`step_op`] does except the implied
-/// instruction fetches and the per-op epilogue.  Split out so the parallel
-/// engine can interleave its own (pausable) ifetch drain between the two.
-fn step_op_body(
-    op: &TraceOp,
-    core_id: CoreId,
-    ctx: &mut KernelCtx<'_>,
-    policy: SyncPolicy,
-) -> StepOutcome {
-    let c = core_id.index();
-    if ctx.track_noc_clock {
-        // Queue this core's packets in simulation time.  Under the
-        // interleaved engine the stepped core is the earliest one, so this
-        // is the global scheduler clock; under legacy replay it regresses
-        // at every core switch (counted by `noc.des.clock.regressions`).
-        ctx.memsys.advance_noc(ctx.cores[c].now());
-    }
-    if let Some(vt) = ctx.values.as_deref_mut() {
-        vt.begin_op();
-    }
+/// This is the simulator's hottest loop body and its only interpreter:
+/// every engine runs every op through it, over one of three [`Port`]s, so
+/// the per-op semantics cannot drift apart between engines.
+fn step_op<P: Port>(op: &TraceOp, port: &mut P, policy: SyncPolicy) -> StepOutcome {
     let mut outcome = StepOutcome::Ran;
     match op {
-        TraceOp::Compute { insts } => ctx.cores[c].execute_compute(*insts),
+        TraceOp::Compute { insts } => {
+            port.begin();
+            port.core().execute_compute(*insts);
+        }
         TraceOp::SetPhase(phase) => {
+            port.begin();
+            let core = port.core();
             if *phase != Phase::Work {
-                ctx.cores[c].drain_memory();
+                core.drain_memory();
             }
-            ctx.cores[c].set_phase(*phase);
+            core.set_phase(*phase);
         }
         TraceOp::AllocateBuffers { count } => {
-            let _ = ctx.spms[c].allocate_buffers(*count);
+            port.begin();
+            let _ = port.spm().allocate_buffers(*count);
         }
-        TraceOp::DmaGet { tag, buffer, chunk } => {
-            let now = ctx.cores[c].now();
-            let spm_values = ctx.values.as_deref_mut().map(|vt| vt.spm_store_raw(c));
-            let completion = ctx.dmacs[c].dma_get(*tag, *chunk, now, ctx.memsys, spm_values);
-            ctx.spms[c].record_dma_fill(chunk.len());
-            let _ = ctx.protocol.on_map(core_id, *buffer, *chunk, ctx.memsys);
-            if let Some(vt) = ctx.values.as_deref_mut() {
-                // Registers the mapping and checks every staged word — the
-                // DMA read is a read of global memory.
-                vt.note_get(c, *buffer, *chunk, &*ctx.protocol);
-            }
-            if let Some(tr) = ctx.tracer.as_deref_mut() {
-                let at = now.as_u64();
-                tr.record(c, at, TraceKind::DmaGet, [completion.as_u64(), chunk.len()]);
-                tr.record(c, at, TraceKind::Map, [*buffer as u64, chunk.start().raw()]);
+        TraceOp::DmaGet { tag, buffer, chunk } | TraceOp::DmaPut { tag, buffer, chunk } => {
+            let get = matches!(op, TraceOp::DmaGet { .. });
+            if port.dma(get, *tag, *buffer, *chunk).is_none() {
+                return StepOutcome::Deferred;
             }
         }
-        TraceOp::DmaPut { tag, buffer, chunk } => {
-            let now = ctx.cores[c].now();
-            let spm_values = ctx.values.as_deref_mut().map(|vt| vt.spm_store_raw(c));
-            let completion = ctx.dmacs[c].dma_put(*tag, *chunk, now, ctx.memsys, spm_values);
-            ctx.spms[c].record_dma_drain(chunk.len());
-            let _ = ctx.protocol.on_unmap(core_id, *buffer);
-            if let Some(vt) = ctx.values.as_deref_mut() {
-                vt.note_put(c, *buffer, *chunk);
-            }
-            if let Some(tr) = ctx.tracer.as_deref_mut() {
-                let at = now.as_u64();
-                tr.record(c, at, TraceKind::DmaPut, [completion.as_u64(), chunk.len()]);
-                tr.record(
-                    c,
-                    at,
-                    TraceKind::Unmap,
-                    [*buffer as u64, chunk.start().raw()],
-                );
+        TraceOp::LoopEnd => {
+            if port.loop_end().is_none() {
+                return StepOutcome::Deferred;
             }
         }
         TraceOp::DmaSync { tags } => {
-            let now = ctx.cores[c].now();
-            let done = ctx.dmacs[c].dma_synch(tags, now);
-            if let Some(tr) = ctx.tracer.as_deref_mut() {
-                tr.record(
-                    c,
-                    now.as_u64(),
-                    TraceKind::DmaSync,
-                    [done.as_u64(), tags.len() as u64],
-                );
-            }
-            if policy == SyncPolicy::Park && done > now {
+            port.begin();
+            let now = port.core().now();
+            let done = port.dmac().dma_synch(tags, now);
+            port.trace(TraceKind::DmaSync, [done.as_u64(), tags.len() as u64]);
+            match policy {
                 // The transfer completion is a scheduled event: the core
                 // parks and another core may run in the meantime.  The
                 // stall to `done` is charged on resume, so the core-local
@@ -308,19 +334,14 @@ fn step_op_body(
                 // legacy engine's inline wait below is exactly the
                 // serialized-replay artifact, so the split keeps the
                 // engines' ordering gap attributable in a breakdown diff.
-                outcome = StepOutcome::Parked { wake: done };
-            } else {
-                ctx.cores[c].stall_until(done, CycleCategory::DmaWait);
-            }
-        }
-        TraceOp::LoopEnd => {
-            ctx.protocol.on_loop_end(core_id);
-            ctx.cores[c].drain_memory();
-            if let Some(vt) = ctx.values.as_deref_mut() {
-                vt.note_loop_end(c);
-            }
-            if let Some(tr) = ctx.tracer.as_deref_mut() {
-                tr.record(c, ctx.cores[c].now().as_u64(), TraceKind::LoopEnd, [0, 0]);
+                SyncPolicy::Park if done > now => outcome = StepOutcome::Parked { wake: done },
+                SyncPolicy::ParkInPlace if done > now => {
+                    port.trace(TraceKind::Park, [done.as_u64(), 0]);
+                    port.core().park_until(done);
+                    port.core().resume();
+                    port.trace(TraceKind::Resume, [done.as_u64(), 0]);
+                }
+                _ => port.core().stall_until(done, CycleCategory::DmaWait),
             }
         }
         TraceOp::Load {
@@ -334,79 +355,47 @@ fn step_op_body(
             reference_id,
         } => {
             let is_store = matches!(op, TraceOp::Store { .. });
-            match class {
+            let (value, recheck) = match class {
                 MemRefClass::SpmStrided { buffer } => {
+                    port.begin();
                     let latency = if is_store {
-                        ctx.spms[c].write_local()
+                        port.spm().write_local()
                     } else {
-                        ctx.spms[c].read_local()
+                        port.spm().read_local()
                     };
-                    ctx.cores[c].issue_memory_access(latency, false);
-                    let mut value = None;
-                    if ctx.values.is_some() {
-                        if is_store {
-                            let v = ctx.cores[c].next_store_value(c, *addr);
-                            let vt = ctx.values.as_deref_mut().expect("checked above");
-                            if vt.spm_store(c, *buffer, *addr, v) {
-                                value = Some(v);
-                            }
-                        } else {
-                            let vt = ctx.values.as_deref_mut().expect("checked above");
-                            value = vt.spm_load(c, c, *buffer, *addr, "load(spm)", &*ctx.protocol);
-                        }
-                    }
-                    ctx.cores[c].record_in_lsq_valued(*addr, is_store, value);
+                    port.core().issue_memory_access(latency, false);
+                    let value = port
+                        .values()
+                        .and_then(|mut v| v.spm(*buffer, *addr, is_store, false, "load(spm)"));
+                    (value, false)
                 }
                 MemRefClass::Guarded => {
-                    let outcome = ctx
-                        .protocol
-                        .guarded_access(core_id, *addr, is_store, ctx.memsys, ctx.spms);
+                    let Some(outcome) = port.guarded(*addr, is_store) else {
+                        return StepOutcome::Deferred;
+                    };
                     // Guarded refs stall on the protocol's routing decision:
                     // their visible wait is `Protocol`, minus whatever NoC
                     // queueing the underlying legs measured.
-                    let queue = if ctx.cores[c].accounting_enabled() {
-                        ctx.memsys.take_attributed_queue()
-                    } else {
-                        Cycle::ZERO
-                    };
-                    ctx.cores[c].issue_memory_access_classified(
+                    let queue = port.take_queue();
+                    port.core().issue_memory_access_classified(
                         outcome.latency,
                         true,
                         CycleCategory::Protocol,
                         queue,
                     );
-                    if let Some(tr) = ctx.tracer.as_deref_mut() {
-                        let kind = match outcome.target {
-                            GuardedTarget::GlobalMemory { .. } => TraceKind::GuardedGm,
-                            GuardedTarget::LocalSpm { .. } => TraceKind::GuardedLocalSpm,
-                            GuardedTarget::RemoteSpm { .. } => TraceKind::GuardedRemoteSpm,
-                        };
-                        tr.record(
-                            c,
-                            ctx.cores[c].now().as_u64(),
-                            kind,
-                            [addr.raw(), outcome.latency.as_u64()],
-                        );
-                    }
-                    let mut value = None;
-                    if ctx.values.is_some() {
-                        let v_new = is_store.then(|| ctx.cores[c].next_store_value(c, *addr));
-                        value = route_guarded_value(
-                            core_id,
-                            *addr,
-                            v_new,
-                            &outcome.target,
-                            outcome.gm_write_through,
-                            ctx,
-                        );
-                    }
-                    ctx.cores[c].record_in_lsq_valued(*addr, is_store, value);
-                    if outcome.diverted_to_spm() {
-                        // §3.4: the LSQ re-checks ordering against the
-                        // data's original (GM) address, flushing on a
-                        // violation.
-                        let _ = ctx.cores[c].recheck_ordering(*addr, is_store);
-                    }
+                    let kind = match outcome.target {
+                        GuardedTarget::GlobalMemory { .. } => TraceKind::GuardedGm,
+                        GuardedTarget::LocalSpm { .. } => TraceKind::GuardedLocalSpm,
+                        GuardedTarget::RemoteSpm { .. } => TraceKind::GuardedRemoteSpm,
+                    };
+                    port.trace(kind, [addr.raw(), outcome.latency.as_u64()]);
+                    let value = port
+                        .values()
+                        .and_then(|mut v| v.guarded(*addr, is_store, &outcome));
+                    // §3.4: a diverted access makes the LSQ re-check
+                    // ordering against the data's original (GM) address,
+                    // flushing on a violation.
+                    (value, outcome.diverted_to_spm())
                 }
                 MemRefClass::Gm | MemRefClass::GmStrided | MemRefClass::Stack => {
                     let kind = if is_store {
@@ -414,89 +403,332 @@ fn step_op_body(
                     } else {
                         AccessKind::Load
                     };
-                    let msg_class = if is_store {
-                        MessageClass::Write
-                    } else {
-                        MessageClass::Read
+                    let Some(result) = port.access(*addr, kind, *reference_id) else {
+                        return StepOutcome::Deferred;
                     };
-                    let result = ctx
-                        .memsys
-                        .access(core_id, *addr, kind, msg_class, *reference_id);
                     // Random (pointer-like) accesses feed dependent
                     // work; strided and stack accesses are
                     // independent and overlap under the MLP window.
                     let dependent = matches!(class, MemRefClass::Gm);
-                    let queue = if ctx.cores[c].accounting_enabled() {
-                        ctx.memsys.take_attributed_queue()
-                    } else {
-                        Cycle::ZERO
-                    };
-                    ctx.cores[c].issue_memory_access_classified(
+                    let queue = port.take_queue();
+                    port.core().issue_memory_access_classified(
                         result.latency,
                         dependent,
                         CycleCategory::MissWait,
                         queue,
                     );
-                    let mut value = None;
-                    if ctx.values.is_some() {
-                        if is_store {
-                            let v = ctx.cores[c].next_store_value(c, *addr);
-                            ctx.memsys.write_word(core_id, *addr, v);
-                            let vt = ctx.values.as_deref_mut().expect("checked above");
-                            vt.oracle_store(*addr, v);
-                            value = Some(v);
-                        } else {
-                            let observed = ctx.memsys.read_word(core_id, *addr).unwrap_or(0);
-                            let vt = ctx.values.as_deref_mut().expect("checked above");
-                            vt.check_load(c, *addr, observed, "load(gm)", &*ctx.protocol);
-                            value = Some(observed);
-                        }
-                    }
-                    ctx.cores[c].record_in_lsq_valued(*addr, is_store, value);
+                    let value = port.values().map(|mut v| v.gm(*addr, is_store, "load(gm)"));
+                    (value, false)
+                }
+            };
+            let core = port.core();
+            core.record_in_lsq_valued(*addr, is_store, value);
+            if recheck {
+                let _ = core.recheck_ordering(*addr, is_store);
+            }
+        }
+    }
+    if finish_op(port) {
+        outcome
+    } else {
+        StepOutcome::FetchDeferred
+    }
+}
+
+/// Performs the instruction fetches implied by the instructions executed so
+/// far, drained one at a time so the common no-fetch case costs one branch,
+/// then the per-op epilogue.  Returns `false` — the deferred fetch left
+/// un-popped, the epilogue not run — when the port defers a fetch.
+fn finish_op<P: Port>(port: &mut P) -> bool {
+    let (code_base, code_size) = port.code();
+    while let Some(addr) = port.core().peek_due_ifetch(code_base, code_size) {
+        let Some(result) = port.access(addr, AccessKind::Ifetch, 0) else {
+            return false;
+        };
+        let core = port.core();
+        core.pop_due_ifetch();
+        core.apply_ifetch(result.latency, result.l1_hit);
+    }
+    port.end_op();
+    true
+}
+
+/// What value tracking touches for one access besides its own state: the
+/// stepping core's store-value generator, the hierarchy's value stores and
+/// the protocol (read-only, for divergence reports).
+struct Values<'x> {
+    core_id: CoreId,
+    core: &'x mut CoreTimingModel,
+    vt: &'x mut ValueTracking,
+    memsys: &'x mut MemorySystem,
+    protocol: &'x dyn CoherenceBackend,
+}
+
+impl Values<'_> {
+    /// The value a store writes, `None` for a load.
+    fn store_value(&mut self, addr: Addr, is_store: bool) -> Option<u64> {
+        is_store.then(|| self.core.next_store_value(self.core_id.index(), addr))
+    }
+
+    /// An access to one of the core's own SPM buffers; with `write_through`
+    /// a store also updates the GM copy.  Returns the value carried into the
+    /// LSQ, `None` when the access fell outside the modeled contract.
+    fn spm(
+        &mut self,
+        buffer: usize,
+        addr: Addr,
+        is_store: bool,
+        write_through: bool,
+        access: &str,
+    ) -> Option<u64> {
+        let c = self.core_id.index();
+        let Some(v) = self.store_value(addr, is_store) else {
+            return self.vt.spm_load(c, c, buffer, addr, access, self.protocol);
+        };
+        let modeled = self.vt.spm_store(c, buffer, addr, v);
+        if modeled && write_through {
+            self.memsys.write_word(self.core_id, addr, v);
+        }
+        modeled.then_some(v)
+    }
+
+    /// An access through the cache hierarchy: a store writes its value, a
+    /// load reads (and checks) the word it observes.
+    fn gm(&mut self, addr: Addr, is_store: bool, access: &str) -> u64 {
+        if let Some(v) = self.store_value(addr, is_store) {
+            self.memsys.write_word(self.core_id, addr, v);
+            self.vt.oracle_store(addr, v);
+            v
+        } else {
+            let observed = self.memsys.read_word(self.core_id, addr).unwrap_or(0);
+            self.vt
+                .check_load(self.core_id.index(), addr, observed, access, self.protocol);
+            observed
+        }
+    }
+
+    /// Moves (and checks) the value of one guarded access along the path
+    /// the protocol chose for it.
+    fn guarded(&mut self, addr: Addr, is_store: bool, outcome: &GuardedOutcome) -> Option<u64> {
+        match outcome.target {
+            GuardedTarget::GlobalMemory { .. } => Some(self.gm(addr, is_store, "guarded-load(gm)")),
+            // The proposed protocol also updates the GM copy of a guarded
+            // store through the L1 (the buffer may never be written back).
+            GuardedTarget::LocalSpm { buffer } => self.spm(
+                buffer,
+                addr,
+                is_store,
+                outcome.gm_write_through,
+                "guarded-load(spm)",
+            ),
+            GuardedTarget::RemoteSpm { owner } => {
+                let (c, o) = (self.core_id.index(), owner.index());
+                match self.store_value(addr, is_store) {
+                    Some(v) => self.vt.remote_spm_store(o, addr, v).then_some(v),
+                    None => self.vt.remote_spm_load(c, o, addr, self.protocol),
                 }
             }
         }
     }
-
-    outcome
 }
 
-/// Performs the instruction fetches implied by the instructions executed so
-/// far, drained one at a time so the common no-fetch case costs one branch.
-fn drain_due_ifetches(core_id: CoreId, ctx: &mut KernelCtx<'_>) {
-    let c = core_id.index();
-    let (code_base, code_size) = (ctx.program.code_base(), ctx.program.code_size());
-    while let Some(fetch) = ctx.cores[c].next_due_ifetch(code_base, code_size) {
-        let result = ctx
-            .memsys
-            .access(core_id, fetch, AccessKind::Ifetch, MessageClass::Ifetch, 0);
-        ctx.cores[c].apply_ifetch(result.latency, result.l1_hit);
+/// The full paths over the whole [`KernelCtx`], stepping core `core`.
+///
+/// With `PROBED` off this is the [`Full`] port; with it on, the [`Probed`]
+/// one.
+struct CtxPort<'c, 'a, const PROBED: bool> {
+    ctx: &'c mut KernelCtx<'a>,
+    core: CoreId,
+}
+
+/// The full paths; never defers.  Legacy replay, the interleaved scheduler
+/// and the parallel engine's commit phase step through it.
+type Full<'c, 'a> = CtxPort<'c, 'a, false>;
+
+/// The full paths behind the read-only lane-locality predicates
+/// (`MemorySystem::is_lane_local`, `CoherenceBackend::is_guarded_lane_local`):
+/// the parallel engine's run-ahead when an observer is attached.  It defers
+/// exactly what the [`Lane`] port defers, and like it never moves the NoC
+/// clock, but value tracking and tracing still see every access.
+type Probed<'c, 'a> = CtxPort<'c, 'a, true>;
+
+impl<'c, 'a, const PROBED: bool> CtxPort<'c, 'a, PROBED> {
+    fn new(ctx: &'c mut KernelCtx<'a>, core: CoreId) -> Self {
+        CtxPort { ctx, core }
+    }
+
+    /// Admits (and begins) an op that needs shared state; the probed port
+    /// first asks `lane_local`, deferring when it says no.
+    fn admit(&mut self, lane_local: impl FnOnce(&KernelCtx<'a>) -> bool) -> Option<()> {
+        if PROBED && !lane_local(self.ctx) {
+            return None;
+        }
+        self.begin();
+        Some(())
     }
 }
 
-/// The per-op epilogue shared by every engine: drops the ifetches' queue
-/// residue and samples the tracer's stat time-series.
-fn op_epilogue(core_id: CoreId, ctx: &mut KernelCtx<'_>) {
-    let c = core_id.index();
-    if ctx.cores[c].accounting_enabled() {
+impl<const PROBED: bool> Port for CtxPort<'_, '_, PROBED> {
+    fn core(&mut self) -> &mut CoreTimingModel {
+        &mut self.ctx.cores[self.core.index()]
+    }
+
+    fn spm(&mut self) -> &mut Scratchpad {
+        &mut self.ctx.spms[self.core.index()]
+    }
+
+    fn dmac(&mut self) -> &mut Dmac {
+        &mut self.ctx.dmacs[self.core.index()]
+    }
+
+    fn code(&self) -> (Addr, u64) {
+        (self.ctx.program.code_base(), self.ctx.program.code_size())
+    }
+
+    fn begin(&mut self) {
+        if !PROBED {
+            // Queue this core's packets in simulation time (the analytic
+            // NoC ignores this).  Under the interleaved engine the stepped
+            // core is the earliest one, so this is the global scheduler
+            // clock; under legacy replay it regresses at every core switch
+            // (counted by `noc.des.clock.regressions`).  Run-ahead ops send
+            // no packets, so the probed port leaves the clock alone.
+            let now = self.ctx.cores[self.core.index()].now();
+            self.ctx.memsys.advance_noc(now);
+        }
+        if let Some(vt) = self.ctx.values.as_deref_mut() {
+            vt.begin_op();
+        }
+    }
+
+    fn access(&mut self, addr: Addr, kind: AccessKind, id: u64) -> Option<MemAccessResult> {
+        let core = self.core;
+        if PROBED && !self.ctx.memsys.is_lane_local(core, addr, kind, id) {
+            return None;
+        }
+        let class = match kind {
+            AccessKind::Ifetch => MessageClass::Ifetch,
+            AccessKind::Load => MessageClass::Read,
+            AccessKind::Store => MessageClass::Write,
+        };
+        if kind != AccessKind::Ifetch {
+            self.begin();
+        }
+        Some(self.ctx.memsys.access(core, addr, kind, class, id))
+    }
+
+    fn guarded(&mut self, addr: Addr, is_store: bool) -> Option<GuardedOutcome> {
+        let core = self.core;
+        self.admit(|ctx| {
+            ctx.protocol
+                .is_guarded_lane_local(core, addr, is_store, ctx.memsys)
+        })?;
+        let ctx = &mut *self.ctx;
+        Some(
+            ctx.protocol
+                .guarded_access(core, addr, is_store, ctx.memsys, ctx.spms),
+        )
+    }
+
+    fn dma(&mut self, get: bool, tag: DmaTag, buffer: usize, chunk: AddressRange) -> Option<()> {
+        self.admit(|_| false)?;
+        let (core_id, c) = (self.core, self.core.index());
+        let ctx = &mut *self.ctx;
+        let now = ctx.cores[c].now();
+        let spm_values = ctx.values.as_deref_mut().map(|vt| vt.spm_store_raw(c));
+        let (completion, kinds) = if get {
+            let completion = ctx.dmacs[c].dma_get(tag, chunk, now, ctx.memsys, spm_values);
+            ctx.spms[c].record_dma_fill(chunk.len());
+            let _ = ctx.protocol.on_map(core_id, buffer, chunk, ctx.memsys);
+            if let Some(vt) = ctx.values.as_deref_mut() {
+                // Registers the mapping and checks every staged word — the
+                // DMA read is a read of global memory.
+                vt.note_get(c, buffer, chunk, &*ctx.protocol);
+            }
+            (completion, [TraceKind::DmaGet, TraceKind::Map])
+        } else {
+            let completion = ctx.dmacs[c].dma_put(tag, chunk, now, ctx.memsys, spm_values);
+            ctx.spms[c].record_dma_drain(chunk.len());
+            let _ = ctx.protocol.on_unmap(core_id, buffer);
+            if let Some(vt) = ctx.values.as_deref_mut() {
+                vt.note_put(c, buffer, chunk);
+            }
+            (completion, [TraceKind::DmaPut, TraceKind::Unmap])
+        };
+        if let Some(tr) = ctx.tracer.as_deref_mut() {
+            let at = now.as_u64();
+            tr.record(c, at, kinds[0], [completion.as_u64(), chunk.len()]);
+            tr.record(c, at, kinds[1], [buffer as u64, chunk.start().raw()]);
+        }
+        Some(())
+    }
+
+    fn loop_end(&mut self) -> Option<()> {
+        self.admit(|_| false)?;
+        let c = self.core.index();
+        self.ctx.protocol.on_loop_end(self.core);
+        self.ctx.cores[c].drain_memory();
+        if let Some(vt) = self.ctx.values.as_deref_mut() {
+            vt.note_loop_end(c);
+        }
+        self.trace(TraceKind::LoopEnd, [0, 0]);
+        Some(())
+    }
+
+    fn take_queue(&mut self) -> Cycle {
+        if self.core().accounting_enabled() {
+            self.ctx.memsys.take_attributed_queue()
+        } else {
+            Cycle::ZERO
+        }
+    }
+
+    fn end_op(&mut self) {
         // Fetch misses are charged wholesale to `IFetch`; drop their queue
         // component so it cannot leak into the next data access's split.
-        let _ = ctx.memsys.take_attributed_queue();
+        let _ = self.take_queue();
+
+        // Periodic stat sampling, keyed off the stepping core's clock (under
+        // the interleaved engine that clock is global simulation time).
+        let ctx = &mut *self.ctx;
+        if let Some(tr) = ctx.tracer.as_deref_mut() {
+            let now = ctx.cores[self.core.index()].now();
+            if tr.sample_due(now.as_u64()) {
+                sample_stats(
+                    tr,
+                    ctx.memsys,
+                    ctx.dmacs,
+                    ctx.cores,
+                    now,
+                    &mut ctx.depth_scratch,
+                );
+            }
+        }
     }
 
-    // Periodic stat sampling, keyed off the stepping core's clock (under
-    // the interleaved engine that clock is global simulation time).
-    if let Some(tr) = ctx.tracer.as_deref_mut() {
-        let now = ctx.cores[c].now();
-        if tr.sample_due(now.as_u64()) {
-            sample_stats(
-                tr,
-                ctx.memsys,
-                ctx.dmacs,
-                ctx.cores,
-                now,
-                &mut ctx.depth_scratch,
-            );
+    fn values(&mut self) -> Option<Values<'_>> {
+        let ctx = &mut *self.ctx;
+        let vt = ctx.values.as_deref_mut()?;
+        Some(Values {
+            core_id: self.core,
+            core: &mut ctx.cores[self.core.index()],
+            vt,
+            memsys: ctx.memsys,
+            protocol: &*ctx.protocol,
+        })
+    }
+
+    fn tracer(&mut self) -> Option<&mut Tracer> {
+        self.ctx.tracer.as_deref_mut()
+    }
+
+    // Always inlined, so the common no-tracer case costs one branch at each
+    // of the interpreter's trace points (guarded accesses among them).
+    #[inline(always)]
+    fn trace(&mut self, kind: TraceKind, payload: [u64; 2]) {
+        let c = self.core.index();
+        if let Some(tr) = self.ctx.tracer.as_deref_mut() {
+            tr.record(c, self.ctx.cores[c].now().as_u64(), kind, payload);
         }
     }
 }
@@ -548,59 +780,6 @@ pub(crate) fn sample_stats(
     }
 }
 
-/// Moves (and checks) the value of one guarded access along the path the
-/// protocol chose for it.  Returns the value carried into the LSQ, `None`
-/// when the access fell outside the modeled contract.
-fn route_guarded_value(
-    core_id: CoreId,
-    addr: Addr,
-    store_value: Option<u64>,
-    target: &GuardedTarget,
-    gm_write_through: bool,
-    ctx: &mut KernelCtx<'_>,
-) -> Option<u64> {
-    let c = core_id.index();
-    match *target {
-        GuardedTarget::GlobalMemory { .. } => {
-            if let Some(v) = store_value {
-                ctx.memsys.write_word(core_id, addr, v);
-                let vt = ctx.values.as_deref_mut().expect("values on");
-                vt.oracle_store(addr, v);
-                Some(v)
-            } else {
-                let observed = ctx.memsys.read_word(core_id, addr).unwrap_or(0);
-                let vt = ctx.values.as_deref_mut().expect("values on");
-                vt.check_load(c, addr, observed, "guarded-load(gm)", &*ctx.protocol);
-                Some(observed)
-            }
-        }
-        GuardedTarget::LocalSpm { buffer } => {
-            if let Some(v) = store_value {
-                let vt = ctx.values.as_deref_mut().expect("values on");
-                let modeled = vt.spm_store(c, buffer, addr, v);
-                if modeled && gm_write_through {
-                    // The proposed protocol also updates the GM copy
-                    // through the L1 (the buffer may never be written
-                    // back); mirror that data movement.
-                    ctx.memsys.write_word(core_id, addr, v);
-                }
-                modeled.then_some(v)
-            } else {
-                let vt = ctx.values.as_deref_mut().expect("values on");
-                vt.spm_load(c, c, buffer, addr, "guarded-load(spm)", &*ctx.protocol)
-            }
-        }
-        GuardedTarget::RemoteSpm { owner } => {
-            let vt = ctx.values.as_deref_mut().expect("values on");
-            if let Some(v) = store_value {
-                vt.remote_spm_store(owner.index(), addr, v).then_some(v)
-            } else {
-                vt.remote_spm_load(c, owner.index(), addr, &*ctx.protocol)
-            }
-        }
-    }
-}
-
 /// Replays one kernel segment-serialized: every core's prologue, then each
 /// tile round-robin across the cores, then every core's epilogue.  A raw
 /// kernel's explicit rounds play the role of tiles.
@@ -614,9 +793,7 @@ pub(crate) fn run_kernel_legacy(ctx: &mut KernelCtx<'_>, trace_seed: u64) {
 
             // Prologue on every core.
             for (i, exec) in execs.iter_mut().enumerate() {
-                let ops = exec.prologue();
-                segment_begin(ctx, i, Segment::Prologue);
-                execute_ops(&ops, CoreId::new(i), ctx);
+                execute_segment(ctx, i, Some(Segment::Prologue), &exec.prologue());
             }
 
             // Tiles are interleaved across cores so the shared L2 and the
@@ -625,28 +802,22 @@ pub(crate) fn run_kernel_legacy(ctx: &mut KernelCtx<'_>, trace_seed: u64) {
             let tiles = execs.iter().map(|e| e.num_tiles()).max().unwrap_or(0);
             for tile in 0..tiles {
                 for (i, exec) in execs.iter_mut().enumerate() {
-                    if tile >= exec.num_tiles() {
-                        continue;
+                    if tile < exec.num_tiles() {
+                        execute_segment(ctx, i, Some(Segment::Tile(tile)), &exec.tile(tile));
                     }
-                    let ops = exec.tile(tile);
-                    segment_begin(ctx, i, Segment::Tile(tile));
-                    execute_ops(&ops, CoreId::new(i), ctx);
                 }
             }
 
             // Epilogue on every core.
             for (i, exec) in execs.iter_mut().enumerate() {
-                let ops = exec.epilogue();
-                segment_begin(ctx, i, Segment::Epilogue);
-                execute_ops(&ops, CoreId::new(i), ctx);
+                execute_segment(ctx, i, Some(Segment::Epilogue), &exec.epilogue());
             }
         }
         ProgramRef::Raw(raw) => {
-            let rounds = raw.max_rounds();
-            for round in 0..rounds {
+            for round in 0..raw.max_rounds() {
                 for core in 0..cores {
                     if let Some(ops) = raw.rounds[core].get(round) {
-                        execute_ops(ops, CoreId::new(core), ctx);
+                        execute_segment(ctx, core, None, ops);
                     }
                 }
             }
@@ -654,21 +825,43 @@ pub(crate) fn run_kernel_legacy(ctx: &mut KernelCtx<'_>, trace_seed: u64) {
     }
 }
 
-fn execute_ops(ops: &[TraceOp], core_id: CoreId, ctx: &mut KernelCtx<'_>) {
+/// Steps `core` through `ops` in place, after recording the boundary of
+/// `segment` (compiled kernels only).
+fn execute_segment(
+    ctx: &mut KernelCtx<'_>,
+    core: usize,
+    segment: Option<Segment>,
+    ops: &[TraceOp],
+) {
+    let port = &mut Full::new(ctx, CoreId::new(core));
+    if let Some(s) = segment {
+        segment_begin(port, s);
+    }
     for op in ops {
-        let _ = step_op(op, core_id, ctx, SyncPolicy::StallInline);
+        let _ = step_op(op, port, SyncPolicy::StallInline);
     }
 }
 
-/// Records a segment-boundary event on `core`'s track at its current clock.
-fn segment_begin(ctx: &mut KernelCtx<'_>, core: usize, segment: Segment) {
-    if let Some(tr) = ctx.tracer.as_deref_mut() {
-        tr.record(
-            core,
-            ctx.cores[core].now().as_u64(),
-            TraceKind::SegmentBegin,
-            [segment.code(), segment.tile_index().unwrap_or(0)],
-        );
+/// Records a segment-boundary event on the core's track at its clock.
+fn segment_begin<P: Port>(port: &mut P, segment: Segment) {
+    port.trace(
+        TraceKind::SegmentBegin,
+        [segment.code(), segment.tile_index().unwrap_or(0)],
+    );
+}
+
+/// Records a segment-boundary event when `stream` has moved into a new
+/// segment since `last` (tracing only; raw kernels carry no segments).
+fn note_segment<P: Port>(port: &mut P, stream: &OpStream<'_>, last: &mut Option<Segment>) {
+    if port.tracer().is_none() {
+        return;
+    }
+    let segment = stream.segment();
+    if segment != *last {
+        *last = segment;
+        if let Some(s) = segment {
+            segment_begin(port, s);
+        }
     }
 }
 
@@ -705,47 +898,29 @@ pub(crate) fn run_kernel_interleaved(ctx: &mut KernelCtx<'_>, trace_seed: u64) {
     while let Some((when, c)) = queue.pop() {
         debug_assert!(when >= global, "scheduler time ran backwards");
         global = global.max(when);
-        if ctx.cores[c].is_parked() {
-            debug_assert!(ctx.cores[c].runnable_at() <= when, "core woke early");
-            ctx.cores[c].resume();
-            if let Some(tr) = ctx.tracer.as_deref_mut() {
+        let port = &mut Full::new(ctx, CoreId::new(c));
+        if port.core().is_parked() {
+            debug_assert!(port.core().runnable_at() <= when, "core woke early");
+            port.core().resume();
+            if let Some(tr) = port.tracer() {
                 tr.record(c, when.as_u64(), TraceKind::Resume, [when.as_u64(), 0]);
             }
         }
         // A core that streams its last op simply leaves the scheduler and
         // waits at the kernel barrier (applied by the caller).
         while let Some(op) = cursors[c].next_op() {
-            if ctx.tracer.is_some() {
-                let segment = cursors[c].segment();
-                if segment != segments[c] {
-                    segments[c] = segment;
-                    if let Some(s) = segment {
-                        segment_begin(ctx, c, s);
-                    }
-                }
+            note_segment(port, &cursors[c], &mut segments[c]);
+            if let StepOutcome::Parked { wake } = step_op(&op, port, SyncPolicy::Park) {
+                port.core().park_until(wake);
+                queue.schedule(wake, c);
+                port.trace(TraceKind::Park, [wake.as_u64(), 0]);
+                break;
             }
-            match step_op(&op, CoreId::new(c), ctx, SyncPolicy::Park) {
-                StepOutcome::Parked { wake } => {
-                    ctx.cores[c].park_until(wake);
-                    queue.schedule(wake, c);
-                    if let Some(tr) = ctx.tracer.as_deref_mut() {
-                        tr.record(
-                            c,
-                            ctx.cores[c].now().as_u64(),
-                            TraceKind::Park,
-                            [wake.as_u64(), 0],
-                        );
-                    }
+            if let Some(next) = queue.peek_time() {
+                if port.core().now() > next {
+                    // Another core is now the earliest: yield.
+                    queue.schedule(port.core().now(), c);
                     break;
-                }
-                StepOutcome::Ran => {
-                    if let Some(next) = queue.peek_time() {
-                        if ctx.cores[c].now() > next {
-                            // Another core is now the earliest: yield.
-                            queue.schedule(ctx.cores[c].now(), c);
-                            break;
-                        }
-                    }
                 }
             }
         }
@@ -763,7 +938,7 @@ enum Pend {
     /// The core may keep running ahead next round.
     Ready,
     /// The next op needs shared state; it executes at the commit phase, at
-    /// the recorded core clock, through the full [`step_op`] path.
+    /// the recorded core clock, through the [`Full`] port.
     Op(TraceOp, Cycle),
     /// The op itself ran ahead, but its implied instruction-fetch drain hit
     /// an L1I miss; the remaining fetches complete at the commit phase.
@@ -776,18 +951,60 @@ enum Pend {
     Done,
 }
 
-/// One core's exclusive working set during a run-ahead phase: mutable
-/// borrows of its per-core structures plus the pointer lanes into the
-/// shared hierarchy and protocol.
-struct LaneCell<'a, 'b> {
+/// One core's progress through the parallel engine's rounds.
+struct Progress<'a> {
+    stream: OpStream<'a>,
+    pend: Pend,
+    /// Last segment seen, for boundary events (tracing only).
+    segment: Option<Segment>,
+}
+
+/// The lane port: one core's exclusive working set during a run-ahead
+/// phase — its timing model, SPM and DMAC, plus its pointer lanes into the
+/// shared hierarchy and protocol.  It defers whatever the lanes cannot
+/// serve, never moves the NoC clock and carries no observer.
+struct Lane<'b> {
     core: &'b mut CoreTimingModel,
     spm: &'b mut Scratchpad,
     dmac: &'b mut Dmac,
-    stream: &'b mut OpStream<'a>,
     mem: &'b mut CoreLane,
     prot: Option<&'b mut ProtocolLane>,
-    pend: &'b mut Pend,
+    code: (Addr, u64),
 }
+
+impl Port for Lane<'_> {
+    fn core(&mut self) -> &mut CoreTimingModel {
+        self.core
+    }
+
+    fn spm(&mut self) -> &mut Scratchpad {
+        self.spm
+    }
+
+    fn dmac(&mut self) -> &mut Dmac {
+        self.dmac
+    }
+
+    fn code(&self) -> (Addr, u64) {
+        self.code
+    }
+
+    fn access(&mut self, addr: Addr, kind: AccessKind, id: u64) -> Option<MemAccessResult> {
+        self.mem.try_access(addr, kind, id)
+    }
+
+    fn guarded(&mut self, addr: Addr, is_store: bool) -> Option<GuardedOutcome> {
+        self.prot
+            .as_deref_mut()?
+            .try_guarded(addr, is_store, self.mem, self.spm)
+    }
+
+    // The attributed-queue drain keeps its zero default: a lane-local
+    // access sends nothing, so the queue it would drain is provably empty.
+}
+
+/// One core's run-ahead state, owned by exactly one pool worker.
+type LaneCell<'a, 'b> = (Lane<'b>, &'b mut Progress<'a>);
 
 /// The round's lane cells, shared across pool workers.
 ///
@@ -814,16 +1031,17 @@ impl<'a, 'b> LaneCells<'_, 'a, 'b> {
 /// prefetcher, SPMDir and filter) — until it reaches an op that needs shared
 /// state, passes the epoch horizon (`min live clock + epoch_cycles`), or
 /// ends its stream.  The deferred ops then execute serially, sorted by
-/// `(core clock, core id)`, through the ordinary full paths; queued prefetch
-/// fills flush immediately before their core's deferred op, and per-core
-/// scratch counters merge in core order.  Both make the schedule — and
-/// therefore the simulation — bit-identical for any worker count, including
-/// the inline `pool: None` form.
+/// `(core clock, core id)`, through the [`Full`] port; per-core scratch
+/// counters merge in core order.  Both make the schedule — and therefore
+/// the simulation — bit-identical for any worker count, including the
+/// inline `pool: None` form.
 ///
-/// With an observer attached (value tracking, tracing) the same schedule
-/// runs single-threaded through the full paths, classifying ops with
-/// read-only probes — so observers stay timing-invisible here exactly as
-/// they are under the other engines.
+/// The run-ahead steps through the [`Lane`] port, fanned out over the
+/// worker pool (or inline, in core order, without one).  With an observer
+/// attached (value tracking, tracing) it steps single-threaded through the
+/// [`Probed`] port instead, which defers exactly what the lanes defer — so
+/// observers stay timing-invisible here exactly as they are under the
+/// other engines.
 pub(crate) fn run_kernel_parallel(
     ctx: &mut KernelCtx<'_>,
     trace_seed: u64,
@@ -831,438 +1049,164 @@ pub(crate) fn run_kernel_parallel(
     epoch_cycles: u64,
 ) {
     let epoch = Cycle::new(epoch_cycles.max(1));
-    if ctx.values.is_some() || ctx.tracer.is_some() {
-        run_parallel_observed(ctx, trace_seed, epoch);
-    } else {
-        run_parallel_lanes(ctx, trace_seed, pool, epoch);
-    }
-}
-
-/// The lane backend: run-ahead on per-core pointer lanes into the resident
-/// hierarchy and protocol, fanned out over the worker pool (or inline, in
-/// core order, without one).
-fn run_parallel_lanes(
-    ctx: &mut KernelCtx<'_>,
-    trace_seed: u64,
-    pool: Option<&WorkerPool>,
-    epoch: Cycle,
-) {
     let cores = ctx.cores.len();
     let program = ctx.program;
-    let (code_base, code_size) = (program.code_base(), program.code_size());
-    let mut streams: Vec<OpStream<'_>> = (0..cores)
-        .map(|i| program.stream(CoreId::new(i), cores, trace_seed))
+    let code = (program.code_base(), program.code_size());
+    let mut progress: Vec<Progress<'_>> = (0..cores)
+        .map(|i| Progress {
+            stream: program.stream(CoreId::new(i), cores, trace_seed),
+            pend: Pend::Ready,
+            segment: None,
+        })
         .collect();
-    let mut pends: Vec<Pend> = vec![Pend::Ready; cores];
+    let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(cores);
+    let observed = ctx.values.is_some() || ctx.tracer.is_some();
     // SAFETY: one lane per core; the lanes are dropped before the hierarchy
     // and protocol (this function returns after the merge loop below), and
     // their methods run only inside the run-ahead phase, which holds no
     // other borrow of either structure.
-    let mut mem_lanes: Vec<CoreLane> = (0..cores)
-        .map(|c| unsafe { ctx.memsys.new_lane(CoreId::new(c)) })
-        .collect();
-    let mut prot_lanes: Vec<Option<ProtocolLane>> = (0..cores)
-        .map(|c| unsafe { ctx.protocol.new_core_lane(CoreId::new(c)) })
-        .collect();
-    let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(cores);
+    let mut lanes: Vec<(CoreLane, Option<ProtocolLane>)> = if observed {
+        Vec::new()
+    } else {
+        (0..cores)
+            .map(|c| unsafe {
+                let core = CoreId::new(c);
+                (ctx.memsys.new_lane(core), ctx.protocol.new_core_lane(core))
+            })
+            .collect()
+    };
 
     while let Some(epoch_start) = (0..cores)
-        .filter(|&c| !matches!(pends[c], Pend::Done))
+        .filter(|&c| !matches!(progress[c].pend, Pend::Done))
         .map(|c| ctx.cores[c].now())
         .min()
     {
         let horizon = epoch_start + epoch;
-
-        // A deferred op committed last round can have reconfigured the
-        // protocol's decode registers; re-copy them into the lanes.
-        for p in prot_lanes.iter_mut().flatten() {
-            ctx.protocol.refresh_lane(p);
-        }
-
-        // Run-ahead phase: each lane cell is owned by exactly one worker.
-        {
+        if observed {
+            for (c, p) in progress.iter_mut().enumerate() {
+                run_ahead(&mut Probed::new(ctx, CoreId::new(c)), p, horizon);
+            }
+        } else {
+            // Each lane cell is owned by exactly one worker.
             let cells: Vec<UnsafeCell<LaneCell<'_, '_>>> = ctx
                 .cores
                 .iter_mut()
                 .zip(ctx.spms.iter_mut())
                 .zip(ctx.dmacs.iter_mut())
-                .zip(streams.iter_mut())
-                .zip(mem_lanes.iter_mut())
-                .zip(prot_lanes.iter_mut())
-                .zip(pends.iter_mut())
-                .map(|((((((core, spm), dmac), stream), mem), prot), pend)| {
-                    UnsafeCell::new(LaneCell {
-                        core,
-                        spm,
-                        dmac,
-                        stream,
-                        mem,
-                        prot: prot.as_mut(),
-                        pend,
-                    })
+                .zip(lanes.iter_mut())
+                .zip(progress.iter_mut())
+                .map(|((((core, spm), dmac), (mem, prot)), p)| {
+                    let prot = prot.as_mut();
+                    UnsafeCell::new((
+                        Lane {
+                            core,
+                            spm,
+                            dmac,
+                            mem,
+                            prot,
+                            code,
+                        },
+                        p,
+                    ))
                 })
                 .collect();
             let cells = LaneCells(&cells);
             let worker = |i: usize| {
                 // SAFETY: `dispatch` hands each index to one worker only.
-                let cell = unsafe { &mut *cells.cell(i) };
-                if matches!(*cell.pend, Pend::Done) {
-                    return;
-                }
-                run_ahead_lane(cell, horizon, code_base, code_size);
+                let (port, p) = unsafe { &mut *cells.cell(i) };
+                run_ahead(port, p, horizon);
             };
             match pool {
                 Some(pool) => pool.dispatch(cores, &worker),
                 None => (0..cores).for_each(worker),
             }
         }
-
-        commit_pends(ctx, &mut pends, &mut order);
+        commit_pends(ctx, &mut progress, &mut order);
     }
 
     // Fold the lanes' scratch counters into the shared stats, in core order.
-    for c in 0..cores {
-        ctx.memsys.merge_lane_scratch(&mut mem_lanes[c]);
-        if let Some(p) = prot_lanes[c].as_mut() {
+    for (mem, prot) in &mut lanes {
+        ctx.memsys.merge_lane_scratch(mem);
+        if let Some(p) = prot {
             ctx.protocol.merge_lane_scratch(p);
         }
     }
 }
 
-/// One core's run-ahead: executes lane-local ops until something defers,
-/// the horizon passes, or the stream ends.  Leaves `cell.pend` describing
-/// why it stopped (`Ready` means the horizon).
-fn run_ahead_lane(cell: &mut LaneCell<'_, '_>, horizon: Cycle, code_base: Addr, code_size: u64) {
+/// One core's run-ahead, through either run-ahead port: steps ops until one
+/// defers, the horizon passes, or the stream ends.  Leaves `pend`
+/// describing why it stopped (`Ready` means the horizon).
+fn run_ahead<P: Port>(port: &mut P, progress: &mut Progress<'_>, horizon: Cycle) {
+    let Progress {
+        stream,
+        pend,
+        segment,
+    } = progress;
+    if matches!(pend, Pend::Done) {
+        return;
+    }
     loop {
-        if cell.core.now() >= horizon {
-            return;
-        }
-        let Some(op) = cell.stream.next_op() else {
-            *cell.pend = Pend::Done;
-            return;
-        };
-        let op_start = cell.core.now();
-        if !lane_step(&op, cell) {
-            *cell.pend = Pend::Op(op, cell.core.now());
-            return;
-        }
-        if !lane_drain_ifetches(cell, code_base, code_size) {
-            *cell.pend = Pend::Ifetches {
-                at: cell.core.now(),
-                noc_at: op_start,
-            };
-            return;
-        }
-    }
-}
-
-/// Executes one op against the lane alone, or returns `false` — with no
-/// state mutated — when the op needs the shared hierarchy, protocol or NoC.
-///
-/// Every arm mirrors [`step_op`]'s full path for the same op bit-for-bit
-/// (the hot-loop goldens and the observer-equivalence tests pin this).
-fn lane_step(op: &TraceOp, cell: &mut LaneCell<'_, '_>) -> bool {
-    match op {
-        TraceOp::Compute { insts } => cell.core.execute_compute(*insts),
-        TraceOp::SetPhase(phase) => {
-            if *phase != Phase::Work {
-                cell.core.drain_memory();
-            }
-            cell.core.set_phase(*phase);
-        }
-        TraceOp::AllocateBuffers { count } => {
-            let _ = cell.spm.allocate_buffers(*count);
-        }
-        TraceOp::DmaSync { tags } => {
-            // Any DMA the tags wait on was itself a deferred op, so the
-            // DMAC's completion times are already committed: the sync
-            // resolves locally.  The park/resume pair charges the wait to
-            // `Park` exactly as the interleaved scheduler does.
-            let now = cell.core.now();
-            let done = cell.dmac.dma_synch(tags, now);
-            if done > now {
-                cell.core.park_until(done);
-                cell.core.resume();
-            } else {
-                cell.core.stall_until(done, CycleCategory::DmaWait);
-            }
-        }
-        TraceOp::DmaGet { .. } | TraceOp::DmaPut { .. } | TraceOp::LoopEnd => return false,
-        TraceOp::Load {
-            addr,
-            class,
-            reference_id,
-        }
-        | TraceOp::Store {
-            addr,
-            class,
-            reference_id,
-        } => {
-            let is_store = matches!(op, TraceOp::Store { .. });
-            match class {
-                MemRefClass::SpmStrided { .. } => {
-                    let latency = if is_store {
-                        cell.spm.write_local()
-                    } else {
-                        cell.spm.read_local()
-                    };
-                    cell.core.issue_memory_access(latency, false);
-                    cell.core.record_in_lsq_valued(*addr, is_store, None);
-                }
-                MemRefClass::Guarded => {
-                    let Some(prot) = cell.prot.as_deref_mut() else {
-                        return false;
-                    };
-                    let Some(outcome) = prot.try_guarded(*addr, is_store, cell.mem, cell.spm)
-                    else {
-                        return false;
-                    };
-                    // A lane-local guarded access sends nothing, so the
-                    // attributed queue it would drain is provably zero.
-                    cell.core.issue_memory_access_classified(
-                        outcome.latency,
-                        true,
-                        CycleCategory::Protocol,
-                        Cycle::ZERO,
-                    );
-                    cell.core.record_in_lsq_valued(*addr, is_store, None);
-                    if outcome.diverted_to_spm() {
-                        let _ = cell.core.recheck_ordering(*addr, is_store);
-                    }
-                }
-                MemRefClass::Gm | MemRefClass::GmStrided | MemRefClass::Stack => {
-                    let kind = if is_store {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    };
-                    let Some(result) = cell.mem.try_access(*addr, kind, *reference_id) else {
-                        return false;
-                    };
-                    let dependent = matches!(class, MemRefClass::Gm);
-                    cell.core.issue_memory_access_classified(
-                        result.latency,
-                        dependent,
-                        CycleCategory::MissWait,
-                        Cycle::ZERO,
-                    );
-                    cell.core.record_in_lsq_valued(*addr, is_store, None);
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Drains the due instruction fetches against the lane's L1I, stopping at
-/// the first miss (left un-popped for the commit phase).  Returns `false`
-/// when a miss pended the core.
-fn lane_drain_ifetches(cell: &mut LaneCell<'_, '_>, code_base: Addr, code_size: u64) -> bool {
-    while let Some(addr) = cell.core.peek_due_ifetch(code_base, code_size) {
-        // A miss mutates nothing, so the single probe doubles as the check.
-        let Some(result) = cell.mem.try_access(addr, AccessKind::Ifetch, 0) else {
-            return false;
-        };
-        let _ = cell
-            .core
-            .next_due_ifetch(code_base, code_size)
-            .expect("peeked above");
-        cell.core.apply_ifetch(result.latency, result.l1_hit);
-    }
-    true
-}
-
-/// The observer backend: the identical round/epoch schedule, run
-/// single-threaded through the full paths so value tracking, tracing and
-/// per-core debug see every access — with read-only probes reproducing the
-/// lane classification, so the timing is bit-identical to the lane backend.
-fn run_parallel_observed(ctx: &mut KernelCtx<'_>, trace_seed: u64, epoch: Cycle) {
-    let cores = ctx.cores.len();
-    let program = ctx.program;
-    let mut streams: Vec<OpStream<'_>> = (0..cores)
-        .map(|i| program.stream(CoreId::new(i), cores, trace_seed))
-        .collect();
-    let mut pends: Vec<Pend> = vec![Pend::Ready; cores];
-    let mut segments: Vec<Option<Segment>> = vec![None; cores];
-    let mut order: Vec<(Cycle, usize)> = Vec::with_capacity(cores);
-
-    while let Some(epoch_start) = (0..cores)
-        .filter(|&c| !matches!(pends[c], Pend::Done))
-        .map(|c| ctx.cores[c].now())
-        .min()
-    {
-        let horizon = epoch_start + epoch;
-
-        // Run-ahead phase.  Lane-local ops send no packets (an access whose
-        // prefetcher training would emit fills is classified non-local), so
-        // the lane backend never advances the NoC here; mask the clock
-        // tracking so the full paths do not either.
-        let saved_noc = ctx.track_noc_clock;
-        ctx.track_noc_clock = false;
-        for c in 0..cores {
-            if matches!(pends[c], Pend::Done) {
-                continue;
-            }
-            run_ahead_observed(
-                ctx,
-                c,
-                &mut streams[c],
-                &mut pends[c],
-                &mut segments[c],
-                horizon,
-            );
-        }
-        ctx.track_noc_clock = saved_noc;
-
-        commit_pends(ctx, &mut pends, &mut order);
-    }
-}
-
-/// One core's run-ahead through the full paths (observer backend).
-fn run_ahead_observed(
-    ctx: &mut KernelCtx<'_>,
-    c: usize,
-    stream: &mut OpStream<'_>,
-    pend: &mut Pend,
-    segment: &mut Option<Segment>,
-    horizon: Cycle,
-) {
-    let core_id = CoreId::new(c);
-    let (code_base, code_size) = (ctx.program.code_base(), ctx.program.code_size());
-    loop {
-        if ctx.cores[c].now() >= horizon {
+        let op_start = port.core().now();
+        if op_start >= horizon {
             return;
         }
         let Some(op) = stream.next_op() else {
             *pend = Pend::Done;
             return;
         };
-        if ctx.tracer.is_some() {
-            let seg = stream.segment();
-            if seg != *segment {
-                *segment = seg;
-                if let Some(s) = seg {
-                    segment_begin(ctx, c, s);
-                }
-            }
-        }
-        if !op_is_lane_local(&op, core_id, ctx) {
-            *pend = Pend::Op(op, ctx.cores[c].now());
-            return;
-        }
-        let op_start = ctx.cores[c].now();
-        match step_op_body(&op, core_id, ctx, SyncPolicy::Park) {
-            StepOutcome::Parked { wake } => {
-                if let Some(tr) = ctx.tracer.as_deref_mut() {
-                    tr.record(
-                        c,
-                        ctx.cores[c].now().as_u64(),
-                        TraceKind::Park,
-                        [wake.as_u64(), 0],
-                    );
-                }
-                ctx.cores[c].park_until(wake);
-                ctx.cores[c].resume();
-                if let Some(tr) = ctx.tracer.as_deref_mut() {
-                    tr.record(c, wake.as_u64(), TraceKind::Resume, [wake.as_u64(), 0]);
-                }
-            }
+        note_segment(port, stream, segment);
+        match step_op(&op, port, SyncPolicy::ParkInPlace) {
             StepOutcome::Ran => {}
-        }
-        // The pausable twin of `drain_due_ifetches`: stop at the first L1I
-        // miss and leave it (un-popped) for the commit phase.
-        let mut missed = false;
-        while let Some(addr) = ctx.cores[c].peek_due_ifetch(code_base, code_size) {
-            if !ctx
-                .memsys
-                .is_lane_local(core_id, addr, AccessKind::Ifetch, 0)
-            {
-                missed = true;
-                break;
+            StepOutcome::Deferred => {
+                *pend = Pend::Op(op, op_start);
+                return;
             }
-            let addr = ctx.cores[c]
-                .next_due_ifetch(code_base, code_size)
-                .expect("peeked above");
-            let result =
-                ctx.memsys
-                    .access(core_id, addr, AccessKind::Ifetch, MessageClass::Ifetch, 0);
-            ctx.cores[c].apply_ifetch(result.latency, result.l1_hit);
-        }
-        if missed {
-            *pend = Pend::Ifetches {
-                at: ctx.cores[c].now(),
-                noc_at: op_start,
-            };
-            return;
-        }
-        op_epilogue(core_id, ctx);
-    }
-}
-
-/// Read-only twin of [`lane_step`]'s classification, for the observer
-/// backend: can this op run without touching shared state?
-fn op_is_lane_local(op: &TraceOp, core_id: CoreId, ctx: &KernelCtx<'_>) -> bool {
-    match op {
-        TraceOp::Compute { .. }
-        | TraceOp::SetPhase(_)
-        | TraceOp::AllocateBuffers { .. }
-        | TraceOp::DmaSync { .. } => true,
-        TraceOp::DmaGet { .. } | TraceOp::DmaPut { .. } | TraceOp::LoopEnd => false,
-        TraceOp::Load {
-            addr,
-            class,
-            reference_id,
-        }
-        | TraceOp::Store {
-            addr,
-            class,
-            reference_id,
-        } => {
-            let is_store = matches!(op, TraceOp::Store { .. });
-            match class {
-                MemRefClass::SpmStrided { .. } => true,
-                MemRefClass::Guarded => ctx
-                    .protocol
-                    .is_guarded_lane_local(core_id, *addr, is_store, ctx.memsys),
-                MemRefClass::Gm | MemRefClass::GmStrided | MemRefClass::Stack => {
-                    let kind = if is_store {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    };
-                    ctx.memsys
-                        .is_lane_local(core_id, *addr, kind, *reference_id)
-                }
+            StepOutcome::FetchDeferred => {
+                *pend = Pend::Ifetches {
+                    at: port.core().now(),
+                    noc_at: op_start,
+                };
+                return;
             }
+            StepOutcome::Parked { .. } => unreachable!("run-ahead parks in place"),
         }
     }
 }
 
 /// The serial commit phase: executes every pended deferred op through the
-/// ordinary full paths in `(core clock, core id)` order.  Shared by both
-/// backends, which is what keeps them bit-identical.  `order` is caller
-/// scratch, reused across rounds.
-fn commit_pends(ctx: &mut KernelCtx<'_>, pends: &mut [Pend], order: &mut Vec<(Cycle, usize)>) {
+/// [`Full`] port in `(core clock, core id)` order.  Shared by both
+/// run-ahead ports, which is what keeps them bit-identical.  `order` is
+/// caller scratch, reused across rounds.
+fn commit_pends(
+    ctx: &mut KernelCtx<'_>,
+    progress: &mut [Progress<'_>],
+    order: &mut Vec<(Cycle, usize)>,
+) {
     order.clear();
-    order.extend(pends.iter().enumerate().filter_map(|(c, p)| match p {
-        Pend::Op(_, at) | Pend::Ifetches { at, .. } => Some((*at, c)),
-        Pend::Ready | Pend::Done => None,
-    }));
+    order.extend(
+        progress
+            .iter()
+            .enumerate()
+            .filter_map(|(c, p)| match p.pend {
+                Pend::Op(_, at) | Pend::Ifetches { at, .. } => Some((at, c)),
+                Pend::Ready | Pend::Done => None,
+            }),
+    );
     order.sort_unstable();
     for &(_, c) in order.iter() {
-        let core_id = CoreId::new(c);
-        match std::mem::replace(&mut pends[c], Pend::Ready) {
+        match std::mem::replace(&mut progress[c].pend, Pend::Ready) {
             Pend::Op(op, _) => {
                 // Deferred ops are never `DmaSync` (it is lane-local), so
                 // the inline stall policy can never actually stall here.
-                let _ = step_op(&op, core_id, ctx, SyncPolicy::StallInline);
+                let _ = step_op(
+                    &op,
+                    &mut Full::new(ctx, CoreId::new(c)),
+                    SyncPolicy::StallInline,
+                );
             }
             Pend::Ifetches { noc_at, .. } => {
-                if ctx.track_noc_clock {
-                    ctx.memsys.advance_noc(noc_at);
-                }
-                drain_due_ifetches(core_id, ctx);
-                op_epilogue(core_id, ctx);
+                ctx.memsys.advance_noc(noc_at);
+                let _ = finish_op(&mut Full::new(ctx, CoreId::new(c)));
             }
             Pend::Ready | Pend::Done => unreachable!("filtered above"),
         }

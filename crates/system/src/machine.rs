@@ -438,11 +438,6 @@ impl Machine {
             // Kernels without guarded accesses power-gate the filters (as
             // the paper does for SP).
             protocol.set_filters_gated(!program.has_guarded_refs());
-            // Only the discrete-event NoC has a clock to keep in step with
-            // the issuing core; skip the per-op call entirely on the
-            // (default) analytic backend — this is the simulator's hottest
-            // loop.
-            let track_noc_clock = memsys.config().noc.model == noc::NocModel::DiscreteEvent;
             let mut ctx = KernelCtx {
                 program: *program,
                 memsys: &mut memsys,
@@ -450,7 +445,6 @@ impl Machine {
                 spms: &mut spms,
                 dmacs: &mut dmacs,
                 cores: &mut core_models,
-                track_noc_clock,
                 values: values.as_mut(),
                 tracer: tracer.as_mut(),
                 depth_scratch: std::mem::take(&mut depth_scratch),

@@ -17,7 +17,9 @@
 //!    produce bit-identical final value images across `legacy` vs
 //!    `interleaved` engines and `analytic` vs `discrete-event` NoC models
 //!    (cores = 1 and cores = 4), because the generator honours the paper's
-//!    software contract and a single-writer-per-address discipline.
+//!    software contract and a single-writer-per-address discipline.  Every
+//!    engine also counts the same number of interpreted ops: the parallel
+//!    engine's run-ahead defers an op before it counts it.
 //! 5. **Protocol equivalence** — the directory baseline backend passes the
 //!    same litmus matrix, renders the *same* golden images (final memory
 //!    state is protocol-independent), has its own catchable injected fault,
@@ -320,7 +322,7 @@ fn images_are_identical_across_engines_and_noc_models() {
                 (MachineKind::CacheOnly, ExecMode::CacheOnly),
             ] {
                 let program = fuzz(seed, cores, mode);
-                let mut images: Vec<(String, MemoryImage)> = Vec::new();
+                let mut images: Vec<(String, MemoryImage, u64)> = Vec::new();
                 for engine in engines() {
                     for model in noc_models() {
                         let cfg = config(engine, model, cores);
@@ -330,14 +332,24 @@ fn images_are_identical_across_engines_and_noc_models() {
                             "seed {seed} cores {cores} {kind:?}/{engine}/{model:?}:\n{}",
                             outcome.divergence_report()
                         );
-                        images.push((format!("{engine}/{model:?}"), outcome.image));
+                        let label = format!("{engine}/{model:?}");
+                        images.push((label, outcome.image, outcome.report.ops));
                     }
                 }
                 assert!(!images[0].1.is_empty(), "programs leave visible state");
-                for (label, image) in &images[1..] {
+                for (label, image, ops) in &images[1..] {
                     assert_eq!(
                         image, &images[0].1,
                         "seed {seed} cores {cores} {kind:?}: {label} diverges from {}",
+                        images[0].0
+                    );
+                    // Every engine interprets each op exactly once; an op
+                    // the parallel run-ahead deferred must not have been
+                    // counted before it was deferred.
+                    assert_eq!(
+                        ops, &images[0].2,
+                        "seed {seed} cores {cores} {kind:?}: {label} counted a \
+                         different number of ops than {}",
                         images[0].0
                     );
                 }

@@ -236,23 +236,26 @@ proptest! {
 
     /// The parallel engine's determinism contract: the worker count is pure
     /// mechanism.  A multicore run on one worker and on eight is
-    /// bit-identical — same `RunResult` JSON — for any trace seed and both
-    /// NoC models, because cross-core interactions only ever execute at the
-    /// serial epoch-boundary commit, in `(clock, core)` order.
+    /// bit-identical — same `RunResult` JSON — for any trace seed, machine
+    /// kind and NoC model, because cross-core interactions only ever
+    /// execute at the serial epoch-boundary commit, in `(clock, core)`
+    /// order.
     #[test]
     fn parallel_engine_is_bit_identical_across_worker_counts(
         seed in any::<u64>(),
+        kind_idx in 0usize..MachineKind::ALL.len(),
         des in any::<bool>(),
     ) {
         let spec = NasBenchmark::Cg.spec_scaled(1.0 / 1024.0);
+        let kind = MachineKind::ALL[kind_idx];
         let noc_model = if des { noc::NocModel::DiscreteEvent } else { noc::NocModel::Analytic };
         let mut serial = config_with(4, ExecutionEngine::Parallel, noc_model);
         serial.trace_seed = seed;
         serial.engine_jobs = 1;
         let mut pooled = serial.clone();
         pooled.engine_jobs = 8;
-        let a = Machine::new(MachineKind::HybridProposed, serial).run(&spec);
-        let b = Machine::new(MachineKind::HybridProposed, pooled).run(&spec);
-        prop_assert_eq!(encoded(&a), encoded(&b), "under {:?}", noc_model);
+        let a = Machine::new(kind, serial).run(&spec);
+        let b = Machine::new(kind, pooled).run(&spec);
+        prop_assert_eq!(encoded(&a), encoded(&b), "{:?} under {:?}", kind, noc_model);
     }
 }
