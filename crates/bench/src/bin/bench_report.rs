@@ -55,6 +55,12 @@ fn bench_config() -> SystemConfig {
 /// The extra data-set scale multiplier used by the reduced-scale entries.
 const BENCH_SCALE: f64 = 0.125;
 
+/// `cg-cache-only/legacy`'s baseline: its median on this machine at the
+/// commit before the allocation-free memory hot path (packed PLRU, sentinel
+/// tags, inline prefetch predictions): the median of ten 9-sample medians
+/// taken alternately with that change.
+const CACHE_ONLY_BASELINE_NS: u64 = 59_178_092;
+
 /// One measured benchmark entry.
 struct Entry {
     name: &'static str,
@@ -117,38 +123,59 @@ fn sample_ab<A, B>(
     (min_median(a_ns), min_median(b_ns))
 }
 
+/// The machine-step points: HybridProposed on every engine, plus CacheOnly
+/// on the legacy engine — the hybrid machine serves most data from its SPMs,
+/// so only the cache-only point loads the L1D/L2 miss path, the prefetcher
+/// and the directory.  Each baseline is the median recorded on this machine
+/// when the entry was introduced; the parallel engine postdates the hot-loop
+/// refactor, so its trajectory is read against the same pre-refactor serial
+/// (interleaved) median: "what the hot-loop workload costs now vs the
+/// serial engine then".
+const STEP_POINTS: [(&str, MachineKind, ExecutionEngine, u64); 4] = [
+    (
+        "cg/legacy",
+        MachineKind::HybridProposed,
+        ExecutionEngine::Legacy,
+        31_412_855,
+    ),
+    (
+        "cg/interleaved",
+        MachineKind::HybridProposed,
+        ExecutionEngine::Interleaved,
+        45_565_334,
+    ),
+    (
+        "cg/parallel",
+        MachineKind::HybridProposed,
+        ExecutionEngine::Parallel,
+        45_565_334,
+    ),
+    (
+        "cg-cache-only/legacy",
+        MachineKind::CacheOnly,
+        ExecutionEngine::Legacy,
+        CACHE_ONLY_BASELINE_NS,
+    ),
+];
+
 fn measure_step_throughput(samples: usize) -> Vec<Entry> {
     let benchmark = NasBenchmark::Cg;
     let spec = benchmark.spec_scaled(benchmark.recommended_scale() * BENCH_SCALE);
-    ExecutionEngine::ALL
+    STEP_POINTS
         .into_iter()
-        .map(|engine| {
+        .map(|(name, kind, engine, baseline_median_ns)| {
             let mut config = bench_config();
             config.engine = engine;
-            let ops = Machine::new(MachineKind::HybridProposed, config.clone())
-                .run(&spec)
-                .instructions;
-            let (min_ns, median_ns) = sample(samples, || {
-                Machine::new(MachineKind::HybridProposed, config.clone()).run(&spec)
-            });
+            let ops = Machine::new(kind, config.clone()).run(&spec).instructions;
+            let (min_ns, median_ns) =
+                sample(samples, || Machine::new(kind, config.clone()).run(&spec));
             Entry {
-                name: match engine {
-                    ExecutionEngine::Legacy => "cg/legacy",
-                    ExecutionEngine::Interleaved => "cg/interleaved",
-                    ExecutionEngine::Parallel => "cg/parallel",
-                },
+                name,
                 ops,
                 unit: "instructions",
                 min_ns,
                 median_ns,
-                baseline_median_ns: match engine {
-                    ExecutionEngine::Legacy => 31_412_855,
-                    // The parallel engine postdates the refactor, so its
-                    // trajectory is read against the same pre-refactor
-                    // serial (interleaved) median: the speedup is "what the
-                    // hot-loop workload costs now vs the serial engine then".
-                    ExecutionEngine::Interleaved | ExecutionEngine::Parallel => 45_565_334,
-                },
+                baseline_median_ns,
             }
         })
         .collect()
@@ -688,7 +715,7 @@ fn main() {
             render(
                 "machine_step_throughput",
                 &rev,
-                "16 cores, NAS CG at 0.125x bench scale, HybridProposed",
+                "16 cores, NAS CG at 0.125x bench scale, HybridProposed (cg/*) and CacheOnly (cg-cache-only/*)",
                 samples,
                 &step,
             ),

@@ -453,23 +453,12 @@ impl CoreTimingModel {
         }
     }
 
-    /// Returns the instruction-cache line addresses that must be fetched to
-    /// cover the instructions executed since the last call.
-    ///
-    /// The fetch stream walks the kernel's code footprint sequentially and
-    /// wraps around, which is how loops behave.
-    pub fn take_due_ifetches(&mut self, code_base: Addr, code_size: u64) -> Vec<Addr> {
-        let mut fetches = Vec::new();
-        while let Some(addr) = self.peek_due_ifetch(code_base, code_size) {
-            self.pop_due_ifetch();
-            fetches.push(addr);
-        }
-        fetches
-    }
-
     /// The line address of the next due instruction-cache line fetch, if
     /// any, with no accounting moved; [`pop_due_ifetch`](Self::pop_due_ifetch)
     /// then consumes it.
+    ///
+    /// The fetch stream walks the kernel's code footprint sequentially and
+    /// wraps around, which is how loops behave.
     ///
     /// The per-op interpreter drains fetches one at a time, so the common
     /// case (zero or one due fetch) never materialises a `Vec`; splitting
@@ -598,6 +587,33 @@ mod tests {
     }
 
     #[test]
+    fn drain_waits_for_the_latest_miss_of_a_wrapped_window() {
+        let mut c = core();
+        let width = c.config().mlp_width as u64;
+        // Two and a bit laps around the window, so it has retired misses
+        // to make room; then one miss far longer than the rest, which the
+        // drain must wait for.
+        for _ in 0..(2 * width + 1) {
+            c.issue_memory_access(Cycle::new(300), false);
+        }
+        let before = c.now();
+        let long = Cycle::new(1_000_000);
+        c.issue_memory_access(long, false);
+        c.drain_memory();
+        // The issue slot may advance the clock by one before the miss's
+        // completion time is taken.
+        assert!(
+            c.now() >= before + long && c.now() <= before + long + Cycle::new(1),
+            "drain ended at {} for a miss issued at {before}",
+            c.now()
+        );
+        // The window is empty afterwards: draining again is a no-op.
+        let t = c.now();
+        c.drain_memory();
+        assert_eq!(c.now(), t);
+    }
+
+    #[test]
     fn phase_accounting_follows_set_phase() {
         let mut c = core();
         c.set_phase(Phase::Control);
@@ -667,22 +683,44 @@ mod tests {
         assert!(!c.recheck_ordering(Addr::new(0x9000), false));
     }
 
+    /// Drains every due fetch the way the engine does: peek, then pop.
+    fn drain_ifetches(c: &mut CoreTimingModel, code_base: Addr, code_size: u64) -> Vec<Addr> {
+        std::iter::from_fn(|| {
+            let addr = c.peek_due_ifetch(code_base, code_size)?;
+            c.pop_due_ifetch();
+            Some(addr)
+        })
+        .collect()
+    }
+
     #[test]
     fn ifetches_cover_executed_code() {
         let mut c = core();
         c.execute_compute(64); // 64 insts * 4 B = 4 lines of code
-        let fetches = c.take_due_ifetches(Addr::new(0x40_0000), 8 * 1024);
+        let fetches = drain_ifetches(&mut c, Addr::new(0x40_0000), 8 * 1024);
         assert_eq!(fetches.len(), 4);
         // Sequential lines.
         assert_eq!(fetches[1] - fetches[0], 64);
         // Nothing more until new instructions execute.
-        assert!(c
-            .take_due_ifetches(Addr::new(0x40_0000), 8 * 1024)
-            .is_empty());
+        assert!(drain_ifetches(&mut c, Addr::new(0x40_0000), 8 * 1024).is_empty());
         // Wrap-around inside the code footprint.
         c.execute_compute(16 * 1024);
-        let many = c.take_due_ifetches(Addr::new(0x40_0000), 1024);
+        let many = drain_ifetches(&mut c, Addr::new(0x40_0000), 1024);
         assert!(many.iter().all(|a| a.raw() < 0x40_0000 + 1024));
+    }
+
+    #[test]
+    fn peek_is_idempotent_until_pop() {
+        let mut c = core();
+        let base = Addr::new(0x40_0000);
+        assert_eq!(c.peek_due_ifetch(base, 1024), None);
+        c.execute_compute(32); // 2 lines
+        let first = c.peek_due_ifetch(base, 1024).expect("a fetch is due");
+        assert_eq!(c.peek_due_ifetch(base, 1024), Some(first));
+        c.pop_due_ifetch();
+        assert_eq!(c.peek_due_ifetch(base, 1024), Some(first + 64));
+        c.pop_due_ifetch();
+        assert_eq!(c.peek_due_ifetch(base, 1024), None);
     }
 
     #[test]

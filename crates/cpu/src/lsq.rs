@@ -205,6 +205,70 @@ mod tests {
     }
 
     #[test]
+    fn wrapped_window_holds_exactly_the_last_entries() {
+        let (lq, sq) = (5usize, 3usize);
+        let mut lsq = LoadStoreQueue::new(lq, sq);
+        // Several laps around both windows, loads and stores interleaved.
+        let (loads, stores) = (4 * lq as u64 + 2, 4 * sq as u64 + 1);
+        for i in 0..loads.max(stores) {
+            if i < loads {
+                lsq.record(Addr::new(0x1000 + i * 8), false);
+            }
+            if i < stores {
+                lsq.record_valued(Addr::new(0x9000 + (i % 2) * 8), true, Some(i));
+                lsq.record_valued(Addr::new(0x5000 + i * 8), true, Some(100 + i));
+            }
+        }
+        assert_eq!(lsq.occupancy(), lq + sq);
+        // A diverted store conflicts with a load exactly when that load is
+        // among the last `lq` recorded.
+        for i in 0..loads {
+            let in_window = i >= loads - lq as u64;
+            assert_eq!(lsq.recheck(Addr::new(0x1000 + i * 8), true), in_window);
+        }
+        // Stores alternate between the 0x9000 pair and a fresh 0x5000
+        // address: the last `sq` stores are those of the final iterations.
+        let store_addrs: Vec<Addr> = (0..stores)
+            .flat_map(|i| [Addr::new(0x9000 + (i % 2) * 8), Addr::new(0x5000 + i * 8)])
+            .collect();
+        let window = &store_addrs[store_addrs.len() - sq..];
+        for i in 0..stores {
+            let addr = Addr::new(0x5000 + i * 8);
+            assert_eq!(lsq.recheck(addr, false), window.contains(&addr));
+        }
+        // The newest store wins: the final iteration's 0x9000-pair store.
+        let last = stores - 1;
+        assert_eq!(
+            lsq.latest_store_value(Addr::new(0x9000 + (last % 2) * 8)),
+            Some(last)
+        );
+    }
+
+    #[test]
+    fn flush_then_refill_starts_a_fresh_window() {
+        let mut lsq = LoadStoreQueue::new(2, 2);
+        for i in 0..5u64 {
+            lsq.record_valued(Addr::new(0x40), true, Some(i));
+            lsq.record(Addr::new(0x80 + i), false);
+        }
+        lsq.flush();
+        assert_eq!(lsq.occupancy(), 0);
+        assert_eq!(lsq.latest_store_value(Addr::new(0x40)), None);
+        lsq.record_valued(Addr::new(0x40), true, Some(42));
+        lsq.record(Addr::new(0x200), false);
+        lsq.record(Addr::new(0x300), false);
+        lsq.record(Addr::new(0x400), false);
+        assert_eq!(lsq.occupancy(), 3);
+        assert_eq!(lsq.latest_store_value(Addr::new(0x40)), Some(42));
+        assert!(
+            !lsq.recheck(Addr::new(0x200), true),
+            "retired by the refill"
+        );
+        assert!(lsq.recheck(Addr::new(0x300), true));
+        assert!(!lsq.recheck(Addr::new(0x84), true), "dropped by the flush");
+    }
+
+    #[test]
     #[should_panic]
     fn zero_capacity_panics() {
         let _ = LoadStoreQueue::new(0, 4);

@@ -84,10 +84,14 @@ pub struct EvictedLine<S> {
 /// generators never depend on loaded values.
 ///
 /// Internally the ways are laid out structure-of-arrays: one flat slab per
-/// field (`tags`, `valid`, `states`), addressed by `set * ways + way`.  A
-/// way scan therefore touches a dense run of tags instead of hopping through
-/// per-set `Vec<Way>` allocations, and the set index is a single AND for the
-/// power-of-two geometries every shipped configuration uses.
+/// field (`tags`, `states`), addressed by `set * ways + way`, plus one packed
+/// [`TreePlru`] word per set.  A way's tag is its line number plus one, so
+/// the sentinel tag `0` marks an empty way: a way scan compares one dense
+/// slice of tags and nothing else, and a new array's tag slab is a zeroed
+/// allocation that is never written up front (fresh zeroed pages need not
+/// be touched, so sets a run never uses need not become resident).
+/// The set index is a single AND for the power-of-two geometries every
+/// shipped configuration uses.
 ///
 /// # Example
 ///
@@ -110,14 +114,19 @@ pub struct CacheArray<S> {
     set_mask: u64,
     sets_pow2: bool,
     ways: usize,
+    /// `EMPTY_TAG` marks an empty way; otherwise the line number plus one.
     tags: Vec<u64>,
-    valid: Vec<bool>,
     states: Vec<Option<S>>,
     plru: Vec<TreePlru>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
+
+/// The tag of an empty way (resident tags are line numbers plus one, and
+/// line numbers are byte addresses shifted right by the line size, so they
+/// never wrap).
+const EMPTY_TAG: u64 = 0;
 
 impl<S: Clone> CacheArray<S> {
     /// Creates an empty cache with the given geometry.
@@ -131,8 +140,7 @@ impl<S: Clone> CacheArray<S> {
             set_mask: set_count.wrapping_sub(1),
             sets_pow2: set_count.is_power_of_two(),
             ways,
-            tags: vec![0; slots],
-            valid: vec![false; slots],
+            tags: vec![EMPTY_TAG; slots],
             states: (0..slots).map(|_| None).collect(),
             plru: (0..sets).map(|_| TreePlru::new(ways)).collect(),
             config,
@@ -165,16 +173,21 @@ impl<S: Clone> CacheArray<S> {
 
     #[inline]
     fn tag(line: LineAddr) -> u64 {
-        line.number()
+        line.number() + 1
     }
 
-    /// Position of the valid way holding `tag` in `set_idx`, if any.
+    #[inline]
+    fn line_of(tag: u64) -> LineAddr {
+        LineAddr::new(tag - 1)
+    }
+
+    /// Position of the way holding `tag` in `set_idx`, if any.
     #[inline]
     fn find(&self, set_idx: usize, tag: u64) -> Option<usize> {
         let base = set_idx * self.ways;
-        let tags = &self.tags[base..base + self.ways];
-        let valid = &self.valid[base..base + self.ways];
-        (0..self.ways).find(|&w| valid[w] && tags[w] == tag)
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)
     }
 
     /// Looks up a line, updating hit/miss statistics and recency on a hit.
@@ -230,11 +243,10 @@ impl<S: Clone> CacheArray<S> {
             return None;
         }
 
-        // Fill the first invalid way if one exists.  The slab starts fully
-        // invalid, so this path also covers cold fills in set order.
-        if let Some(way) = (0..self.ways).find(|&w| !self.valid[base + w]) {
+        // Fill the first empty way if one exists.  The slab starts fully
+        // empty, so this path also covers cold fills in set order.
+        if let Some(way) = self.find(set_idx, EMPTY_TAG) {
             self.tags[base + way] = tag;
-            self.valid[base + way] = true;
             self.states[base + way] = Some(state);
             self.plru[set_idx].touch(way);
             return None;
@@ -249,7 +261,7 @@ impl<S: Clone> CacheArray<S> {
         self.plru[set_idx].touch(victim);
         self.evictions += 1;
         Some(EvictedLine {
-            line: LineAddr::new(old_tag),
+            line: Self::line_of(old_tag),
             state: old_state.expect("valid way must hold a state"),
         })
     }
@@ -260,7 +272,7 @@ impl<S: Clone> CacheArray<S> {
         let tag = Self::tag(line);
         if let Some(way) = self.find(set_idx, tag) {
             let slot = set_idx * self.ways + way;
-            self.valid[slot] = false;
+            self.tags[slot] = EMPTY_TAG;
             return self.states[slot].take();
         }
         None
@@ -268,7 +280,7 @@ impl<S: Clone> CacheArray<S> {
 
     /// Removes every line, leaving statistics untouched.
     pub fn invalidate_all(&mut self) {
-        self.valid.fill(false);
+        self.tags.fill(EMPTY_TAG);
         for state in &mut self.states {
             *state = None;
         }
@@ -277,23 +289,21 @@ impl<S: Clone> CacheArray<S> {
     /// Iterates over all resident lines and their states, in slab (set, way)
     /// order.
     pub fn resident_lines(&self) -> impl Iterator<Item = (LineAddr, &S)> {
-        self.valid
+        self.tags
             .iter()
-            .enumerate()
-            .filter(|&(_, v)| *v)
-            .map(|(slot, _)| {
+            .zip(&self.states)
+            .filter(|&(&tag, _)| tag != EMPTY_TAG)
+            .map(|(&tag, state)| {
                 (
-                    LineAddr::new(self.tags[slot]),
-                    self.states[slot]
-                        .as_ref()
-                        .expect("valid way must hold a state"),
+                    Self::line_of(tag),
+                    state.as_ref().expect("valid way must hold a state"),
                 )
             })
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.valid.iter().filter(|&&v| v).count()
+        self.tags.iter().filter(|&&t| t != EMPTY_TAG).count()
     }
 
     /// Number of recorded hits.

@@ -652,10 +652,20 @@ impl MemorySystem {
 
         let result = match l1_state {
             Some(state) if !is_write || state.can_write_silently() => {
-                // Plain hit.
+                // Plain hit.  A store to a line already Modified here finds
+                // the home directory recording exactly that (checked below),
+                // so only the silent Exclusive→Modified upgrade writes it.
                 self.stats.inc(self.handles.l1d_hits);
                 if is_write {
-                    self.set_directory_owner(core, line, MoesiState::Modified);
+                    if state == MoesiState::Modified {
+                        debug_assert!(
+                            self.directory_records_modified_owner(core, line),
+                            "{core:?} holds {line:?} Modified but its home \
+                             directory entry does not record it as the dirty owner"
+                        );
+                    } else {
+                        self.set_directory_owner(core, line, MoesiState::Modified);
+                    }
                 }
                 MemAccessResult {
                     latency: l1_latency,
@@ -1113,6 +1123,20 @@ impl MemorySystem {
         }
     }
 
+    /// Does the home directory entry of `line` already say what
+    /// `set_directory_owner(core, line, Modified)` would write — `core` a
+    /// sharer and the owner, in `Modified`, with the slice line dirty?
+    /// The invariant behind skipping that write on Modified store hits.
+    fn directory_records_modified_owner(&self, core: CoreId, line: LineAddr) -> bool {
+        let home = self.home_slice(line);
+        self.l2[home.index()].lookup(line).is_some_and(|entry| {
+            entry.is_sharer(core)
+                && entry.owner() == Some(core)
+                && entry.owner_state() == MoesiState::Modified
+                && entry.l2_dirty
+        })
+    }
+
     // ----------------------------------------------------- parallel-engine lanes
 
     /// Builds the per-core lane for `core`: raw pointers straight into this
@@ -1451,8 +1475,9 @@ impl CoreLane {
             self.l1d_hits += 1;
             // Same single tag-array access as the full path's hit case
             // (recency and the array's own counters move identically).
-            // A store hit is Modified-only here, so the full path's
-            // silent-upgrade write and directory update are both no-ops.
+            // A store hit is Modified-only here, where the full path skips
+            // the directory too (`data_access` asserts the home entry
+            // already records this core as the Modified owner).
             let _ = l1d.access(line);
             if self.prefetcher_enabled {
                 // Keeps training in program order; `can_serve` just ruled
@@ -1587,6 +1612,54 @@ mod tests {
         );
         assert_eq!(m.l1_state(CoreId::new(0), a.line()), MoesiState::Modified);
         assert_eq!(m.l1_state(CoreId::new(1), a.line()), MoesiState::Invalid);
+    }
+
+    /// The home directory entry of `addr`'s line.
+    fn home_entry(m: &MemorySystem, addr: Addr) -> DirectoryEntry {
+        let line = addr.line();
+        m.l2[m.home_slice(line).index()]
+            .lookup(line)
+            .cloned()
+            .expect("an L1-resident line is resident in its home slice")
+    }
+
+    #[test]
+    fn store_hit_on_a_modified_line_leaves_the_directory_unchanged() {
+        let mut m = small_system();
+        let a = Addr::new(0x18_0000);
+        let core = CoreId::new(2);
+        let miss = m.access(core, a, AccessKind::Store, MessageClass::Write, 1);
+        assert!(!miss.l1_hit);
+        let after_miss = home_entry(&m, a);
+        assert_eq!(after_miss.owner(), Some(core));
+        assert_eq!(after_miss.owner_state(), MoesiState::Modified);
+        assert!(after_miss.l2_dirty);
+        let hit = m.access(core, a, AccessKind::Store, MessageClass::Write, 1);
+        assert!(hit.l1_hit);
+        assert_eq!(hit.latency, m.config().l1d.latency);
+        assert_eq!(home_entry(&m, a), after_miss);
+        assert_eq!(m.l1_state(core, a.line()), MoesiState::Modified);
+    }
+
+    #[test]
+    fn silent_exclusive_to_modified_upgrade_updates_the_directory() {
+        let mut m = small_system();
+        let a = Addr::new(0x1c_0000);
+        let core = CoreId::new(1);
+        let _ = m.access(core, a, AccessKind::Load, MessageClass::Read, 1);
+        assert_eq!(m.l1_state(core, a.line()), MoesiState::Exclusive);
+        let clean = home_entry(&m, a);
+        assert_eq!(clean.owner_state(), MoesiState::Exclusive);
+        assert!(!clean.l2_dirty);
+        let hit = m.access(core, a, AccessKind::Store, MessageClass::Write, 1);
+        assert!(hit.l1_hit);
+        assert_eq!(hit.latency, m.config().l1d.latency, "the upgrade is silent");
+        assert_eq!(m.l1_state(core, a.line()), MoesiState::Modified);
+        let dirty = home_entry(&m, a);
+        assert!(dirty.is_sharer(core));
+        assert_eq!(dirty.owner(), Some(core));
+        assert_eq!(dirty.owner_state(), MoesiState::Modified);
+        assert!(dirty.l2_dirty);
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //! All caches in the paper's configuration (L1 I/D, L2, and the filter of the
 //! proposed coherence protocol) use pseudo-LRU replacement (Table 1).  The
 //! classic tree-PLRU scheme is implemented here for any power-of-two number
-//! of ways.
+//! of ways up to 64.
 
 /// Tree pseudo-LRU state for one cache set.
 ///
-/// The tree is stored as a flat bit array: node `0` is the root, node `i` has
-/// children `2i + 1` and `2i + 2`.  A bit value of `false` means "the LRU
-/// side is the left subtree", `true` means "the LRU side is the right
-/// subtree".
+/// The tree is packed into one `u64`: bit `i` is tree node `i`, node `0` is
+/// the root and node `i` has children `2i + 1` and `2i + 2`, so a set with
+/// `ways` ways uses bits `0..ways - 1` and 64 ways is the limit.  A clear bit
+/// means "the LRU side is the left subtree", a set bit "the LRU side is the
+/// right subtree".  The leaf for way `w` is node `ways - 1 + w`, and the
+/// path to it from the root reads `w`'s bits from the most significant one
+/// down (0 = left).
 ///
 /// # Example
 ///
@@ -25,32 +28,44 @@
 /// // After touching every way in order, way 0 is the pseudo-LRU victim.
 /// assert_eq!(plru.victim(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreePlru {
-    ways: usize,
-    bits: Vec<bool>,
+    /// `log2(ways)`: the depth of the tree.
+    levels: u32,
+    bits: u64,
 }
 
 impl TreePlru {
+    /// The largest associativity one packed tree can track.
+    pub const MAX_WAYS: usize = 64;
+
     /// Creates replacement state for a set with `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is zero or not a power of two.
+    /// Panics if `ways` is zero, not a power of two, or above
+    /// [`TreePlru::MAX_WAYS`].
     pub fn new(ways: usize) -> Self {
         assert!(
             ways > 0 && ways.is_power_of_two(),
             "ways must be a power of two, got {ways}"
         );
+        assert!(
+            ways <= Self::MAX_WAYS,
+            "tree-PLRU packs its {} tree bits into one u64, so at most {} ways \
+             are supported, got {ways}",
+            ways - 1,
+            Self::MAX_WAYS
+        );
         TreePlru {
-            ways,
-            bits: vec![false; ways.saturating_sub(1)],
+            levels: ways.trailing_zeros(),
+            bits: 0,
         }
     }
 
     /// Number of ways tracked.
     pub fn ways(&self) -> usize {
-        self.ways
+        1 << self.levels
     }
 
     /// Marks `way` as most recently used.
@@ -58,62 +73,128 @@ impl TreePlru {
     /// # Panics
     ///
     /// Panics if `way` is out of range.
+    #[inline]
     pub fn touch(&mut self, way: usize) {
         assert!(
-            way < self.ways,
+            way < self.ways(),
             "way {way} out of range (ways = {})",
-            self.ways
+            self.ways()
         );
-        if self.ways == 1 {
-            return;
-        }
         // Walk from the root towards the leaf for `way`, pointing every
-        // traversed node away from the path (so the path becomes MRU).
+        // traversed node away from the path (so the path becomes MRU): going
+        // left sets the node (LRU side right), going right clears it.
         let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if way < mid {
-                // Went left: LRU side becomes the right subtree.
-                self.bits[node] = true;
-                node = 2 * node + 1;
-                hi = mid;
-            } else {
-                // Went right: LRU side becomes the left subtree.
-                self.bits[node] = false;
-                node = 2 * node + 2;
-                lo = mid;
-            }
+        for level in (0..self.levels).rev() {
+            let right = (way >> level) & 1;
+            self.bits = (self.bits & !(1u64 << node)) | (((right ^ 1) as u64) << node);
+            node = 2 * node + 1 + right;
         }
     }
 
     /// Returns the pseudo-LRU victim way without modifying the state.
+    #[inline]
     pub fn victim(&self) -> usize {
-        if self.ways == 1 {
-            return 0;
-        }
         let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.bits[node] {
-                // LRU side is the right subtree.
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
+        for _ in 0..self.levels {
+            node = 2 * node + 1 + ((self.bits >> node) & 1) as usize;
         }
-        lo
+        node + 1 - self.ways()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original tree, one heap `bool` per node, kept as the reference
+    /// the packed tree must reproduce touch for touch.
+    struct ReferencePlru {
+        ways: usize,
+        bits: Vec<bool>,
+    }
+
+    impl ReferencePlru {
+        fn new(ways: usize) -> Self {
+            ReferencePlru {
+                ways,
+                bits: vec![false; ways - 1],
+            }
+        }
+
+        fn touch(&mut self, way: usize) {
+            let (mut node, mut lo, mut hi) = (0usize, 0usize, self.ways);
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                if way < mid {
+                    self.bits[node] = true;
+                    node = 2 * node + 1;
+                    hi = mid;
+                } else {
+                    self.bits[node] = false;
+                    node = 2 * node + 2;
+                    lo = mid;
+                }
+            }
+        }
+
+        fn victim(&self) -> usize {
+            let (mut node, mut lo, mut hi) = (0usize, 0usize, self.ways);
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                if self.bits[node] {
+                    node = 2 * node + 2;
+                    lo = mid;
+                } else {
+                    node = 2 * node + 1;
+                    hi = mid;
+                }
+            }
+            lo
+        }
+    }
+
+    #[test]
+    fn packed_tree_matches_the_reference_tree() {
+        // xorshift64*: deterministic random touch sequences.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for ways in (0..=6).map(|l| 1usize << l) {
+            for _ in 0..64 {
+                let mut packed = TreePlru::new(ways);
+                let mut reference = ReferencePlru::new(ways);
+                assert_eq!(packed.victim(), reference.victim());
+                let touches = 1 + next() % 300;
+                for _ in 0..touches {
+                    let r = next();
+                    // Mix uniform touches with touches of the current victim,
+                    // which walk the whole tree.
+                    let way = if r & 3 == 0 {
+                        packed.victim()
+                    } else {
+                        (r >> 8) as usize % ways
+                    };
+                    packed.touch(way);
+                    reference.touch(way);
+                    assert_eq!(
+                        packed.victim(),
+                        reference.victim(),
+                        "{ways}-way trees diverged after touching way {way}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn more_than_64_ways_panics() {
+        let _ = TreePlru::new(128);
+    }
 
     #[test]
     fn single_way_is_trivial() {

@@ -7,7 +7,13 @@
 //! effects emerge naturally from this model because the prefetched lines are
 //! really inserted in the (finite, 4-way) L1 tag array of [`crate::hierarchy`].
 
+use std::ops::Deref;
+
 use crate::addr::{Addr, LineAddr};
+
+/// The largest prefetch degree a [`StridePrefetcher`] accepts: the capacity
+/// of the inline [`Predictions`] list `train` returns.
+pub const MAX_PREFETCH_DEGREE: usize = 8;
 
 /// Configuration of the stride prefetcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,7 +25,8 @@ pub struct PrefetcherConfig {
     /// How many consecutive accesses with the same stride are needed before
     /// prefetches are issued.
     pub confidence_threshold: u32,
-    /// How many lines ahead of the current access are prefetched.
+    /// How many lines ahead of the current access are prefetched (at most
+    /// [`MAX_PREFETCH_DEGREE`]).
     pub degree: u32,
 }
 
@@ -51,6 +58,39 @@ impl Default for PrefetcherConfig {
     }
 }
 
+/// The lines one training access asks to prefetch: at most
+/// [`MAX_PREFETCH_DEGREE`], held inline so training never allocates.
+/// Dereferences to a slice; iterates by value in prediction order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Predictions {
+    len: usize,
+    lines: [LineAddr; MAX_PREFETCH_DEGREE],
+}
+
+impl Predictions {
+    fn push(&mut self, line: LineAddr) {
+        self.lines[self.len] = line;
+        self.len += 1;
+    }
+}
+
+impl Deref for Predictions {
+    type Target = [LineAddr];
+
+    fn deref(&self) -> &[LineAddr] {
+        &self.lines[..self.len]
+    }
+}
+
+impl IntoIterator for Predictions {
+    type Item = LineAddr;
+    type IntoIter = std::iter::Take<std::array::IntoIter<LineAddr, MAX_PREFETCH_DEGREE>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.lines.into_iter().take(self.len)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct StreamEntry {
     last_addr: Addr,
@@ -64,7 +104,8 @@ struct StreamEntry {
 /// The prefetcher is trained with `(reference id, address)` pairs — the
 /// reference id plays the role of the program counter of the memory
 /// instruction.  Once a stream reaches the confidence threshold, each
-/// training access returns the next `degree` line addresses to prefetch.
+/// training access returns up to `degree` distinct line addresses ahead of
+/// it along the stride, as an inline [`Predictions`] list.
 ///
 /// # Example
 ///
@@ -93,7 +134,16 @@ pub struct StridePrefetcher {
 
 impl StridePrefetcher {
     /// Creates a prefetcher with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.degree` exceeds [`MAX_PREFETCH_DEGREE`].
     pub fn new(config: PrefetcherConfig) -> Self {
+        assert!(
+            config.degree as usize <= MAX_PREFETCH_DEGREE,
+            "prefetch degree {} exceeds the maximum of {MAX_PREFETCH_DEGREE}",
+            config.degree
+        );
         StridePrefetcher {
             table: Vec::with_capacity(config.table_entries),
             config,
@@ -153,10 +203,15 @@ impl StridePrefetcher {
     }
 
     /// Trains the prefetcher with one demand access and returns the lines to
-    /// prefetch (possibly empty).
-    pub fn train(&mut self, reference_id: u64, addr: Addr) -> Vec<LineAddr> {
+    /// prefetch, in stride order: empty until the stream reaches the
+    /// confidence threshold, then the lines of the next `degree` stride
+    /// steps that differ from the demand line and from the line before them.
+    /// The list is inline (no allocation), so the per-access call stays
+    /// cheap on the hot path.
+    pub fn train(&mut self, reference_id: u64, addr: Addr) -> Predictions {
+        let mut out = Predictions::default();
         if !self.config.enabled {
-            return Vec::new();
+            return out;
         }
         self.tick += 1;
         let tick = self.tick;
@@ -209,12 +264,11 @@ impl StridePrefetcher {
         };
 
         if !stride_confirmed || stride == 0 {
-            return Vec::new();
+            return out;
         }
 
         // Prefetch `degree` lines ahead along the stream, skipping duplicates
         // that fall in the same line as the demand access.
-        let mut out = Vec::with_capacity(self.config.degree as usize);
         let current_line = addr.line();
         let mut last_line = current_line;
         for d in 1..=self.config.degree as i64 {
@@ -260,13 +314,13 @@ mod tests {
     #[test]
     fn prefetches_follow_the_stride_direction() {
         let mut pf = StridePrefetcher::new(PrefetcherConfig::isca2015());
-        let mut last = Vec::new();
+        let mut last = Predictions::default();
         for i in 0..8u64 {
             last = pf.train(1, Addr::new(0x4000 + i * 128));
         }
         // Stride 128 bytes = 2 lines; prefetches must be ahead of the access.
         let current = Addr::new(0x4000 + 7 * 128).line();
-        for line in &last {
+        for line in last.iter() {
             assert!(line.number() > current.number());
         }
     }
@@ -323,6 +377,34 @@ mod tests {
                 "probe and train disagree at reference {reference} addr {addr:?}"
             );
         }
+    }
+
+    #[test]
+    fn predictions_never_exceed_the_degree() {
+        for degree in [1, 3, MAX_PREFETCH_DEGREE as u32] {
+            let mut pf = StridePrefetcher::new(PrefetcherConfig {
+                degree,
+                ..PrefetcherConfig::isca2015()
+            });
+            let mut longest = 0;
+            for i in 0..32u64 {
+                let predicted = pf.train(7, Addr::new(0x8_0000 + i * 256));
+                assert!(predicted.len() <= degree as usize);
+                assert_eq!(predicted.into_iter().count(), predicted.len());
+                longest = longest.max(predicted.len());
+            }
+            // A 4-line stride puts every step in a new line.
+            assert_eq!(longest, degree as usize);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the maximum")]
+    fn degree_above_the_inline_capacity_panics() {
+        let _ = StridePrefetcher::new(PrefetcherConfig {
+            degree: MAX_PREFETCH_DEGREE as u32 + 1,
+            ..PrefetcherConfig::isca2015()
+        });
     }
 
     #[test]

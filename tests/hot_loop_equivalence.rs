@@ -341,3 +341,25 @@ fn value_tracking_leaves_timing_untouched() {
         }
     }
 }
+
+/// The golden wall only guards the paths its runs reach.  The cache-only
+/// legacy × analytic golden is the one that drives the L1/L2 miss path
+/// hardest, so pin that it still evicts from the L2 (tag-array victim
+/// selection and back-invalidation), issues prefetches (the inline
+/// prediction list) and invalidates L1 copies (directory bookkeeping) —
+/// otherwise a smaller workload could quietly stop covering them.
+#[test]
+fn cache_only_golden_reaches_the_miss_path() {
+    let result = run(
+        MachineKind::CacheOnly,
+        ExecutionEngine::Legacy,
+        NocModel::Analytic,
+        false,
+    );
+    for stat in ["mem.l2.evictions", "mem.prefetches", "mem.invalidations"] {
+        assert!(
+            result.stats.count(stat) > 0,
+            "the cache-only golden run no longer exercises {stat}"
+        );
+    }
+}
